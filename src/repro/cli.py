@@ -117,7 +117,6 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    circuit = get_benchmark(args.benchmark)
     if args.json and (args.breakdown or args.timeline):
         print(
             "error: --json emits the report payload only; "
@@ -126,13 +125,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         )
         return 2
     try:
+        circuit = get_benchmark(args.benchmark)
         machine = resolve_machine(args.machine, circuit.num_qubits)
         overrides = parse_option_assignments(args.set or [])
         compiler = resolve_compiler(args.compiler, overrides)
         params = resolve_physics(args.physics or PARAMS[args.params])
-    except ValueError as error:
-        # Bad machine spec, unknown compiler, bad physics profile, bad
-        # spec/--set key or value: clean message, no traceback.
+    except (ValueError, KeyError) as error:
+        # Bad workload name or size, bad machine spec, unknown compiler,
+        # bad physics profile, bad spec/--set key or value: clean
+        # message, no traceback.
         # Compilation itself runs outside this guard so real compile-time
         # failures still surface with full context.
         print(f"error: {error}", file=sys.stderr)

@@ -7,15 +7,38 @@ microbenchmark payloads (:data:`repro.bench.micro.BENCH_SCHEMA`) and the
 Schema before it is written and after it is read back.  ``jsonschema``
 is used when installed; otherwise :func:`validate_node` provides an
 equivalent structural check for the subset of the spec those schemas
-use (``const``, ``enum``, ``type``, ``required``, ``properties``,
-``additionalProperties`` as ``False`` or a value schema, ``items``,
-``minItems``, ``minLength``, ``minimum``, ``maximum``, ``anyOf``),
-keeping the package itself stdlib-only.
+use (``const`` and ``enum`` with scalar values, ``type``, ``required``,
+``properties``, ``additionalProperties`` as ``False`` or a value schema,
+``items``, ``minItems``, ``minLength``, ``minimum``, ``maximum``,
+``anyOf``), keeping the package itself stdlib-only.
+
+With ``jsonschema``, each schema's validator is built once per process:
+the schema is meta-checked against its draft on first use and the
+validator is cached, keyed on the schema object (so a schema must not be
+mutated after it is first used).  Every payload is still checked in full,
+and accept/reject verdicts and error text are exactly those of
+``jsonschema.validate``.
+
+The fallback never accepts a payload ``jsonschema`` rejects.  It is
+stricter in one known way on JSON input: an ``integer`` field rejects
+integral floats such as ``3.0``, which draft 2020-12 counts as integers.
+(It also rejects a NaN against a ``minimum``/``maximum``; standard JSON
+cannot carry NaN.)  ``const`` and ``enum`` compare JSON values, so
+``true`` never equals ``1``.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any
+
+#: Most validators kept at once; the oldest is dropped beyond this.
+_MAX_VALIDATORS = 32
+
+#: ``id(schema) -> (schema, validator)``.  Holding the schema keeps its
+#: id from being reused by another object while the entry lives.
+_VALIDATORS: dict[int, tuple[dict, Any]] = {}
+_LOCK = threading.Lock()
 
 
 class SchemaError(ValueError):
@@ -25,6 +48,12 @@ class SchemaError(ValueError):
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaError(message)
+
+
+def _json_equal(left: Any, right: Any) -> bool:
+    """Scalar JSON equality: numbers compare by value, but a boolean
+    never equals a number (Python's ``True == 1`` does not apply)."""
+    return left == right and isinstance(left, bool) == isinstance(right, bool)
 
 
 def _check_bounds(value: Any, schema: dict, path: str) -> None:
@@ -56,11 +85,13 @@ def validate_node(value: Any, schema: dict, path: str = "$") -> None:
             f"forms (first failure: {first_error})"
         )
     if "const" in schema:
-        _check(value == schema["const"], f"{path}: expected {schema['const']!r}")
+        _check(
+            _json_equal(value, schema["const"]), f"{path}: expected {schema['const']!r}"
+        )
         return
     if "enum" in schema:
         _check(
-            value in schema["enum"],
+            any(_json_equal(value, option) for option in schema["enum"]),
             f"{path}: expected one of {schema['enum']!r}, got {value!r}",
         )
         return
@@ -112,18 +143,36 @@ def validate_node(value: Any, schema: dict, path: str = "$") -> None:
         _check(isinstance(value, bool), f"{path}: expected boolean")
 
 
+def _validator(jsonschema, schema: dict):
+    """The cached ``jsonschema`` validator of *schema*, built on first use.
+
+    Building runs ``check_schema``, so an invalid schema raises
+    ``jsonschema.SchemaError`` here and is never cached.
+    """
+    with _LOCK:
+        entry = _VALIDATORS.get(id(schema))
+        if entry is None:
+            cls = jsonschema.validators.validator_for(schema)
+            cls.check_schema(schema)
+            if len(_VALIDATORS) >= _MAX_VALIDATORS:
+                del _VALIDATORS[next(iter(_VALIDATORS))]
+            entry = _VALIDATORS[id(schema)] = (schema, cls(schema))
+    return entry[1]
+
+
 def validate(payload: Any, schema: dict) -> None:
     """Raise :class:`SchemaError` unless *payload* conforms to *schema*.
 
-    Uses ``jsonschema`` when installed, otherwise the built-in
-    :func:`validate_node` structural check.
+    Uses ``jsonschema`` when installed (the same check as
+    ``jsonschema.validate``, through a validator built once per schema),
+    otherwise the built-in :func:`validate_node` structural check.
     """
     try:
         import jsonschema
     except ImportError:
         validate_node(payload, schema, "$")
         return
-    try:
-        jsonschema.validate(payload, schema)
-    except jsonschema.ValidationError as error:
+    validator = _validator(jsonschema, schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(payload))
+    if error is not None:
         raise SchemaError(str(error)) from error

@@ -13,6 +13,10 @@ import math
 
 from ..circuits import QuantumCircuit
 
+#: Widest QFT whose smallest phase angle, pi / 2**(n-1), double precision
+#: can represent; a wider register would divide by 2**1024 or more.
+MAX_QFT_QUBITS = 1024
+
 
 def qft(num_qubits: int, *, include_swaps: bool = True) -> QuantumCircuit:
     """Build the ``num_qubits``-qubit QFT.
@@ -24,6 +28,11 @@ def qft(num_qubits: int, *, include_swaps: bool = True) -> QuantumCircuit:
     """
     if num_qubits < 1:
         raise ValueError(f"QFT needs at least 1 qubit, got {num_qubits}")
+    if num_qubits > MAX_QFT_QUBITS:
+        raise ValueError(
+            f"QFT supports at most {MAX_QFT_QUBITS} qubits, got {num_qubits}: "
+            f"its smallest phase angle pi/2**{num_qubits - 1} is below double precision"
+        )
     circuit = QuantumCircuit(num_qubits, name=f"QFT_n{num_qubits}")
     # Process from the most significant qubit down (qubit 0 is the least
     # significant bit); with the final swap reversal this is exactly the

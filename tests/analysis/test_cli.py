@@ -156,6 +156,14 @@ class TestCompilerSpecs:
         assert code == 2
         assert "grid spec" in capsys.readouterr().err
 
+    def test_oversized_qft_is_clean_error(self, capsys):
+        assert main(["compile", "QFT_n2048"]) == 2
+        assert "at most 1024 qubits" in capsys.readouterr().err
+
+    def test_unknown_workload_family_is_clean_error(self, capsys):
+        assert main(["compile", "Nope_n8"]) == 2
+        assert "unknown benchmark family" in capsys.readouterr().err
+
     def test_malformed_set_is_clean_error(self, capsys):
         code = main(
             ["compile", "GHZ_n16", "--machine", "grid:2x2:8", "--set", "oops"]

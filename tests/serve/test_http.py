@@ -153,6 +153,17 @@ class TestErrors:
         for _, payload in responses:
             validate(payload, ERROR_SCHEMA)
 
+    def test_oversized_qft_is_a_400_on_workload(self, tmp_path):
+        # QFT_n2048's phase angle pi/2**2047 once raised OverflowError,
+        # which escaped job parsing as a 500.
+        ((status, payload),) = serve(
+            tmp_path, ("POST", "/compile", {"workload": "QFT_n2048"})
+        )
+        assert status == 400
+        validate(payload, ERROR_SCHEMA)
+        assert payload["error"]["field"] == "workload"
+        assert "1024" in payload["error"]["message"]
+
     def test_unknown_field_is_a_400_naming_it(self, tmp_path):
         ((status, payload),) = serve(
             tmp_path, ("POST", "/compile", {"workload": "GHZ_n8", "shots": 100})

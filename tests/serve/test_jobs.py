@@ -77,6 +77,13 @@ class TestJobErrors:
         assert excinfo.value.field == field
         assert excinfo.value.message
 
+    def test_oversized_qft_is_a_workload_error(self):
+        # Pinned: QFT_n2048 used to raise OverflowError (a 500), not a
+        # JobError tagged with its field.
+        with pytest.raises(JobError, match="at most 1024 qubits") as excinfo:
+            parse_job("compile", {"workload": "QFT_n2048"})
+        assert excinfo.value.field == "workload"
+
     def test_missing_workload_is_a_field_error(self):
         with pytest.raises(JobError) as excinfo:
             parse_job("compile", {})

@@ -87,6 +87,11 @@ class TestQFT:
         circuit = qft(6, include_swaps=False)
         assert "swap" not in circuit.count_ops()
 
+    def test_qft_width_is_capped_where_angles_stay_representable(self):
+        # pi / 2**1024 would need a float beyond double range.
+        with pytest.raises(ValueError, match="at most 1024 qubits"):
+            qft(1025)
+
     def test_qft_matrix(self):
         from repro.circuits import unitary
 
