@@ -6,7 +6,13 @@ The circuit layer is deliberately small and self-contained: gates
 scheduler (:mod:`repro.circuits.dag`), lowering passes
 (:mod:`repro.circuits.decompose`) and OpenQASM 2.0 I/O
 (:mod:`repro.circuits.qasm`).
+
+The dense simulators of :mod:`repro.circuits.statevector` need numpy, which
+the rest of the package does not: their three names load on first access,
+so ``import repro`` works without numpy.
 """
+
+from importlib import import_module
 
 from .circuit import CircuitError, QuantumCircuit, validate_native
 from .dag import DependencyError, DependencyGraph, dependency_layers
@@ -27,11 +33,6 @@ from .profile import (
     reuse_distance_profile,
 )
 from .qasm import QasmError, emit_qasm, load_qasm, parse_qasm, save_qasm
-from .statevector import (
-    equivalent_up_to_global_phase,
-    statevector,
-    unitary,
-)
 
 __all__ = [
     "CircuitError",
@@ -62,3 +63,16 @@ __all__ = [
     "unitary",
     "validate_native",
 ]
+
+_STATEVECTOR_NAMES = ("equivalent_up_to_global_phase", "statevector", "unitary")
+
+
+def __getattr__(name: str):
+    if name not in _STATEVECTOR_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.statevector")
+    # Importing the submodule binds ``statevector`` in this namespace to
+    # the module; overwrite all three names with the functions.
+    for attr in _STATEVECTOR_NAMES:
+        globals()[attr] = getattr(module, attr)
+    return globals()[name]

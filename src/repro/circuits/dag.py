@@ -5,21 +5,19 @@ qubit that ``g_i`` acted on immediately before, so ``g_j`` may only run after
 ``g_i``.  Nodes with zero in-degree form the *frontier* and are ready to
 execute.
 
-The graph is consumed destructively by the schedulers (``complete`` removes a
-frontier node and promotes its successors), and non-destructively by the SWAP
-weight table, which inspects the first ``k`` layers ahead
-(:meth:`DependencyGraph.first_k_layers`).
+:class:`DependencyGraph` is consumed destructively by the grid baselines, the
+exact optimal search and the schedule verifier (``complete`` removes a frontier
+node and promotes its successors), and answers non-destructive layer queries
+(:meth:`DependencyGraph.first_k_layers`).  The MUSS-TI array core reads the
+immutable :class:`DagArrays` view instead and keeps its own incremental
+look-ahead window (:mod:`repro.core.arraycore`).
 
 Construction is O(g) using a last-writer-per-qubit scan, matching the paper's
 complexity claim.
 
-Hot-path support: the graph tracks a :attr:`DependencyGraph.version` that
-increments on every ``complete``, and memoises the expensive look-ahead
-queries (the sorted frontier, the first-``k``-layer decomposition, and the
-flattened two-qubit operand pairs those layers contain) per version.  The
-MUSS-TI scheduling loop asks the same look-ahead question several times
-between completions — once for routing, once or twice for the SWAP weight
-table — so the memo collapses those recomputations into one.
+The graph tracks a :attr:`DependencyGraph.version` that increments on every
+``complete``, and memoises the sorted frontier and the first-``k``-layer
+decomposition per version.
 """
 
 from __future__ import annotations
@@ -32,139 +30,6 @@ from .gate import Gate
 
 class DependencyError(RuntimeError):
     """Raised on illegal frontier operations (completing a blocked gate)."""
-
-
-class _LookaheadWindow:
-    """Incrementally maintained first-``k``-layers window of a DAG.
-
-    The scheduling loop consults the look-ahead window after every gate it
-    completes; recomputing the layer decomposition from scratch each time
-    costs O(window) per completion and dominates large compiles.  This
-    tracker exploits a monotonicity property: a gate's layer — its longest
-    dependency path from the current frontier — can only *decrease* as
-    gates complete (completions only remove terms from the defining
-    ``1 + max(unfinished predecessors)`` recurrence).  So each completion
-    triggers a decrease-only propagation over the affected successors:
-    every node's layer drops at most ``k + 1`` times over a whole
-    schedule, making the total maintenance cost O(gates × k × degree)
-    instead of O(gates × window).
-
-    Tracked state, all live views shared with consumers (read-only!):
-
-    * ``layer`` — node -> layer, for nodes in layers ``0..k-1`` only;
-    * ``by_qubit`` — qubit -> {partner: count} over the window's two-qubit
-      gates (the SWAP weight table and routing census index);
-    * ``qubits`` — the operand set of those gates (eviction protection).
-
-    Membership matches the batch decomposition exactly: a node is tracked
-    iff it appears in ``first_k_layers(k)`` at the current version (the
-    scheduler-invariant property tests cross-check this).
-    """
-
-    __slots__ = ("k", "layer", "by_qubit", "qubits", "_dag", "_dirty")
-
-    def __init__(self, dag: "DependencyGraph", k: int) -> None:
-        self._dag = dag
-        self.k = k
-        self.layer: dict[int, int] = {}
-        self.by_qubit: dict[int, dict[int, int]] = {}
-        self.qubits: set[int] = set()
-        self._dirty: list[int] = []
-        for depth, nodes in enumerate(dag._layers(k)):
-            for node in nodes:
-                self.layer[node] = depth
-                self._add_pairs(node)
-
-    def _add_pairs(self, node: int) -> None:
-        pair = self._dag._pair_of[node]
-        if pair is None:
-            return
-        by_qubit = self.by_qubit
-        for mine, partner in (pair, pair[::-1]):
-            bucket = by_qubit.get(mine)
-            if bucket is None:
-                by_qubit[mine] = {partner: 1}
-                self.qubits.add(mine)
-            else:
-                bucket[partner] = bucket.get(partner, 0) + 1
-
-    def _remove_pairs(self, node: int) -> None:
-        pair = self._dag._pair_of[node]
-        if pair is None:
-            return
-        by_qubit = self.by_qubit
-        for mine, partner in (pair, pair[::-1]):
-            bucket = by_qubit[mine]
-            count = bucket[partner]
-            if count > 1:
-                bucket[partner] = count - 1
-            else:
-                del bucket[partner]
-                if not bucket:
-                    del by_qubit[mine]
-                    self.qubits.discard(mine)
-
-    def on_complete(self, node: int) -> None:
-        """Record a completion; reconciliation happens at the next query.
-
-        Deferring matters: the drain stage completes long runs of gates
-        without ever consulting the window, and the layer recurrence is a
-        pure function of the completed set — so batching the decrease
-        propagation at query time reaches the same fixpoint as processing
-        completions one at a time.
-        """
-        self._dirty.append(node)
-
-    def catch_up(self) -> None:
-        """Propagate the layer decreases of all completions since the
-        last query (multi-source, order-independent)."""
-        dirty = self._dirty
-        if not dirty:
-            return
-        dag = self._dag
-        completed = dag._completed
-        predecessors = dag._predecessors
-        successors = dag._successors
-        layer = self.layer
-        k = self.k
-        queue: list[int] = []
-        for node in dirty:
-            if layer.pop(node, None) is not None:
-                self._remove_pairs(node)
-            queue.extend(successors[node])
-        self._dirty = []
-        head = 0
-        while head < len(queue):
-            n = queue[head]
-            head += 1
-            if completed[n]:
-                continue
-            new_layer = 0
-            outside = False
-            for pred in predecessors[n]:
-                if completed[pred]:
-                    continue
-                pred_layer = layer.get(pred)
-                if pred_layer is None:
-                    # An unfinished predecessor beyond the window keeps n
-                    # beyond it too; were n a member, every unfinished
-                    # predecessor would sit strictly below it (layers
-                    # never increase), so nothing changes.
-                    outside = True
-                    break
-                if pred_layer >= new_layer:
-                    new_layer = pred_layer + 1
-            if outside or new_layer >= k:
-                continue
-            old_layer = layer.get(n)
-            if old_layer is None:
-                layer[n] = new_layer
-                self._add_pairs(n)
-                queue.extend(successors[n])
-            elif new_layer < old_layer:
-                layer[n] = new_layer
-                queue.extend(successors[n])
-            # new_layer == old_layer: no change, no propagation.
 
 
 class DependencyGraph:
@@ -194,12 +59,6 @@ class DependencyGraph:
             self._in_degree[index] = len(preds)
             for q in gate.qubits:
                 last_on_qubit[q] = index
-        #: node -> operand pair for two-qubit gates, None otherwise
-        #: (precomputed so look-ahead walks skip the per-gate arity check).
-        self._pair_of: list[tuple[int, int] | None] = [
-            gate.qubits if gate.is_two_qubit else None for gate in gates
-        ]
-
         self._frontier = {
             i for i, degree in enumerate(self._in_degree) if degree == 0
         }
@@ -208,8 +67,6 @@ class DependencyGraph:
         # Per-version memos (see module docstring).
         self._frontier_memo: tuple[int, list[int]] | None = None
         self._layers_memo: tuple[int, int, list[list[int]]] | None = None
-        self._pairs_memo: tuple[int, int, tuple[tuple[int, int], ...]] | None = None
-        self._window: _LookaheadWindow | None = None
 
     # ------------------------------------------------------------------
     # Read-only views
@@ -267,8 +124,6 @@ class DependencyGraph:
             if self._in_degree[succ] == 0:
                 self._frontier.add(succ)
                 newly_ready.append(succ)
-        if self._window is not None:
-            self._window.on_complete(node)
         return newly_ready
 
     # ------------------------------------------------------------------
@@ -318,9 +173,8 @@ class DependencyGraph:
         """The next ``k`` executable layers from the current state.
 
         Layer 0 is the current frontier; layer ``i+1`` contains the gates
-        whose unfinished predecessors all sit in layers ``<= i``.  Used by the
-        SWAP-insertion weight table (§3.3), which counts gate partners within
-        the first ``k`` layers.
+        whose unfinished predecessors all sit in layers ``<= i`` — the window
+        the §3.3 SWAP weight table counts gate partners in.
         """
         if k <= 0:
             return []
@@ -335,63 +189,6 @@ class DependencyGraph:
         for layer_index, layer in enumerate(self._layers(k)):
             for node in layer:
                 yield layer_index, gates[node]
-
-    def two_qubit_pairs_within(self, k: int) -> tuple[tuple[int, int], ...]:
-        """Operand pairs of the two-qubit gates in the first ``k`` layers.
-
-        Flattened in layer order — exactly the pairs
-        :meth:`gates_within_layers` would yield for two-qubit gates — and
-        memoised per (version, k).  This is the scheduling loop's
-        look-ahead working set: routing's future-partner census, eviction
-        protection and the §3.3 SWAP weight table all consume it, so one
-        computation per completion serves every consumer.
-        """
-        if k <= 0:
-            return ()
-        memo = self._pairs_memo
-        if memo is not None and memo[0] == self.version and memo[1] == k:
-            return memo[2]
-        pair_of = self._pair_of
-        pairs = tuple(
-            pair
-            for layer in self._layers(k)
-            for node in layer
-            if (pair := pair_of[node]) is not None
-        )
-        self._pairs_memo = (self.version, k, pairs)
-        return pairs
-
-    def _lookahead_window(self, k: int) -> _LookaheadWindow:
-        window = self._window
-        if window is None or window.k != k:
-            window = self._window = _LookaheadWindow(self, k)
-        else:
-            window.catch_up()
-        return window
-
-    def lookahead_partners(self, k: int) -> dict[int, dict[int, int]]:
-        """Per-qubit partner index over the first ``k`` layers.
-
-        Maps each qubit appearing in a two-qubit gate of the look-ahead
-        window to ``{partner: occurrence count}`` — the same multiset
-        :meth:`two_qubit_pairs_within` flattens, but keyed for O(degree)
-        per-qubit queries.  The SWAP weight table and routing's
-        future-partner census both read it.  The returned dict is the
-        **live view** of an incrementally maintained window
-        (:class:`_LookaheadWindow`): it mutates on every :meth:`complete`
-        and must be treated as read-only by consumers.
-        """
-        if k <= 0:
-            return {}
-        return self._lookahead_window(k).by_qubit
-
-    def lookahead_qubits(self, k: int) -> set[int]:
-        """Operands of the two-qubit gates in the first ``k`` layers: the
-        scheduling loop's eviction-protection set.  Live view — mutates on
-        :meth:`complete`, read-only for consumers."""
-        if k <= 0:
-            return set()
-        return self._lookahead_window(k).qubits
 
     # ------------------------------------------------------------------
     # Whole-graph utilities (non-destructive)
@@ -450,7 +247,7 @@ class DagArrays:
                 qubit_a[index] = qubits[0]
             else:
                 # Beyond the native 1q/2q set: the arrays cannot encode
-                # it, so consumers must take the object path.
+                # it, so the scheduler rejects the circuit.
                 native_arity = False
             preds = {last_on_qubit[q] for q in qubits if q in last_on_qubit}
             for pred in preds:

@@ -2,23 +2,15 @@
 
 Multi-level shuttle scheduling with executable-first gate selection, LRU
 conflict handling, weight-table SWAP insertion and SABRE two-fold initial
-mapping.
+mapping.  The scheduler itself is the array core
+(:mod:`repro.core.arraycore`).
 """
 
 from .compiler import MussTiCompiler
 from .config import MussTiConfig
 from .mapping import sabre_placement, trivial_placement
 from .optimal import OptimalSearchError, minimum_shuttles
-from .routing import (
-    choose_local_zone,
-    choose_optical_zone,
-    make_room,
-    route_fiber_gate,
-    route_local_gate,
-    route_to_optical,
-)
 from .state import MachineState, RoutingError
-from .swap_insertion import WeightTable, maybe_insert_swaps
 
 __all__ = [
     "MachineState",
@@ -26,15 +18,7 @@ __all__ = [
     "MussTiConfig",
     "OptimalSearchError",
     "RoutingError",
-    "WeightTable",
     "minimum_shuttles",
-    "choose_local_zone",
-    "choose_optical_zone",
-    "make_room",
-    "maybe_insert_swaps",
-    "route_fiber_gate",
-    "route_local_gate",
-    "route_to_optical",
     "sabre_placement",
     "trivial_placement",
 ]

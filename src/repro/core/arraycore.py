@@ -1,42 +1,38 @@
 """Array-core scheduler: the MUSS-TI event loop over flat int arrays.
 
-This module is a transliteration of the scheduling hot path —
-:class:`~repro.pipeline.passes._EventDrivenScheduler`, the routing
-policies of :mod:`repro.core.routing`, :class:`~repro.core.state
-.MachineState`'s op emission and the §3.3 weight-table SWAP insertion —
-onto flat, int-indexed state:
+This is the one MUSS-TI scheduler behind
+:class:`~repro.pipeline.passes.SchedulingPass`: the Fig 3 loop of
+executable-first gate selection, §3.2 multi-level routing with LRU
+eviction, and the §3.3 weight-table SWAP insertion, all over flat,
+int-indexed state:
 
 * qubits and zones are plain ints indexing python lists (``loc``,
   ``last_used``, ``zone_usage``, per-zone chain lists) over the
   precomputed :class:`~repro.hardware.TopologyMaps` arrays;
 * the dependency DAG is the cached :class:`~repro.circuits.dag.DagArrays`
-  view (in-degree / adjacency / operand arrays; numpy builds the initial
-  ready set when available);
+  view (in-degree / adjacency / operand arrays);
 * the §3.3 weight table and the routing census read one incrementally
   maintained look-ahead window (``wlayer`` array + per-qubit partner
   dicts) instead of rebuilding per query;
 * ops are emitted as packed int records (:mod:`repro.sim.oparray`), so a
   compile never constructs an op dataclass.
 
-The engine is engaged by :class:`~repro.pipeline.passes.SchedulingPass`
-via :func:`try_array_schedule`, which returns ``None`` whenever the
-inputs use machinery the arrays do not model (custom SWAP policies,
-non-native gate arities, malformed placements, pre-seeded contexts) —
-the caller then runs the legacy object engine.  On the supported domain
-the emitted schedule is **byte-identical** to the legacy engine's: the
-differential suite replays both against the frozen seed reference.
+:func:`schedule` always returns a schedule or raises: a gate beyond the
+native 1q/2q set raises :class:`~repro.circuits.GateError`, and a
+malformed initial placement raises :class:`RoutingError` before the loop
+starts.  The emitted schedule is **byte-identical** to the frozen seed
+scheduler that ``tests/differential/`` keeps as its oracle.
 
 Two deliberate representation choices, measured on the QFT × EML grid:
 
-* The event loop itself stays on python ints and lists — per-element
-  numpy access is slower than list indexing for this branchy,
-  data-dependent control flow; numpy is used for the bulk, regular work
-  (building the initial in-degree/ready arrays).
-* The FCFS stall pick (legacy ``min(status)`` over the whole frontier)
-  becomes a lazy min-heap of parked gates with stale-entry skipping:
-  every parked gate is pushed once per parking, and entries whose status
+* The event loop stays on python ints and lists — per-element numpy
+  access is slower than list indexing for this branchy, data-dependent
+  control flow, so the package needs no numpy to compile.
+* The FCFS stall pick (the minimum over the whole parked frontier)
+  is a lazy min-heap of parked gates with stale-entry skipping: every
+  parked gate is pushed once per parking, and entries whose status
   changed since are discarded when popped.  At a stall every live entry
-  is parked, so the surviving heap top is exactly the legacy minimum.
+  is parked, so the surviving heap top is exactly the frontier minimum.
 """
 
 from __future__ import annotations
@@ -44,6 +40,7 @@ from __future__ import annotations
 from bisect import insort
 from heapq import heappop, heappush
 
+from ..circuits import validate_native
 from ..circuits.dag import dag_arrays
 from ..sim.oparray import (
     K_CHAIN_SWAP,
@@ -56,68 +53,26 @@ from ..sim.oparray import (
     PackedOps,
 )
 from .config import MussTiConfig
-from .routing import module_zone_id_tables
 from .state import MachineState, RoutingError
 
-try:  # pragma: no cover - exercised via both CI install matrices
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
+def schedule(circuit, machine, placement, config: MussTiConfig) -> MachineState:
+    """Schedule ``circuit`` onto ``machine`` from ``placement``.
 
-def try_array_schedule(circuit, machine, placement, config, policy):
-    """Run the array-core engine if the inputs are in its domain.
-
-    Returns a fully populated :class:`MachineState` (with
-    ``packed_ops`` attached and ``operations`` empty) or ``None`` when
-    the caller must use the legacy engine.  Scheduling errors
-    (:class:`RoutingError`, machine errors) propagate with the exact
-    messages the legacy engine raises — the transliteration preserves
-    every raise site.
+    Returns a fully populated :class:`MachineState` (with ``packed_ops``
+    attached and ``operations`` empty).  Raises
+    :class:`~repro.circuits.GateError` for a gate beyond the native
+    1q/2q set, :class:`RoutingError` for a malformed placement or when no
+    legal routing decision exists, and the machine's own errors for
+    unreachable zones.
     """
-    from ..pipeline.passes import NoSwapInsertion, WeightTableSwapInsertion
-
-    if type(policy) is NoSwapInsertion:
-        insert = False
-        threshold = config.swap_threshold
-    elif type(policy) is WeightTableSwapInsertion:
-        pconfig = policy.config
-        if (
-            pconfig.lookahead_k != config.lookahead_k
-            or pconfig.use_lru != config.use_lru
-        ):
-            # The engine maintains one look-ahead window; a policy with
-            # its own window size (or eviction mode) needs the legacy
-            # per-query path.
-            return None
-        insert = True
-        threshold = pconfig.swap_threshold
-    else:
-        return None
-
     dag = dag_arrays(circuit)
     if not dag.native_arity:
-        return None
-
+        validate_native(circuit)  # raises, naming the first wide gate
     maps = machine.topology_maps()
-    num_zones = len(maps.zone_capacity)
-    num_qubits = circuit.num_qubits
-    loc = [-1] * num_qubits
-    placed = 0
-    for zone_id, chain in placement.items():
-        if type(zone_id) is not int or not 0 <= zone_id < num_zones:
-            return None
-        for qubit in chain:
-            if type(qubit) is not int or not 0 <= qubit < num_qubits:
-                return None
-            if loc[qubit] != -1:
-                return None  # placed twice: legacy raises the exact error
-            loc[qubit] = zone_id
-            placed += 1
-    if placed != num_qubits:
-        return None  # unplaced qubits: legacy raises KeyError at first use
+    loc = _locations(placement, circuit.num_qubits, maps.zone_capacity)
 
-    engine = _Engine(machine, maps, dag, placement, loc, config, insert, threshold)
+    engine = _Engine(machine, maps, dag, placement, loc, config)
     engine.run()
 
     state = MachineState(machine, placement)
@@ -138,12 +93,80 @@ def try_array_schedule(circuit, machine, placement, config, policy):
     return state
 
 
+def _locations(placement, num_qubits: int, zone_capacity) -> list[int]:
+    """Qubit -> zone array of a caller placement, or :class:`RoutingError`.
+
+    A valid placement maps zone ids of the machine to chains that fit the
+    zone, and places each of the circuit's qubits exactly once.
+    """
+    num_zones = len(zone_capacity)
+    loc = [-1] * num_qubits
+    for zone_id, chain in placement.items():
+        if type(zone_id) is not int or not 0 <= zone_id < num_zones:
+            raise RoutingError(
+                f"initial_placement: zone {zone_id!r} is not a zone id of "
+                f"this machine (0..{num_zones - 1})"
+            )
+        if len(chain) > zone_capacity[zone_id]:
+            raise RoutingError(
+                f"initial_placement: zone {zone_id} holds {len(chain)} "
+                f"qubits but has capacity {zone_capacity[zone_id]}"
+            )
+        for qubit in chain:
+            if type(qubit) is not int or not 0 <= qubit < num_qubits:
+                raise RoutingError(
+                    f"initial_placement: zone {zone_id} holds qubit "
+                    f"{qubit!r}, but the circuit's qubits are "
+                    f"0..{num_qubits - 1}"
+                )
+            if loc[qubit] != -1:
+                raise RoutingError(f"qubit {qubit} placed twice")
+            loc[qubit] = zone_id
+    missing = [qubit for qubit, zone_id in enumerate(loc) if zone_id == -1]
+    if missing:
+        shown = ", ".join(map(str, missing[:10]))
+        raise RoutingError(
+            f"initial_placement: {len(missing)} of the circuit's qubits "
+            f"never placed ({shown}{', ...' if len(missing) > 10 else ''})"
+        )
+    return loc
+
+
+def _module_zone_id_tables(maps):
+    """Per-module zone ids as plain int tuples: (all, gate-capable, optical).
+
+    The engine iterates candidate zones millions of times per compile;
+    reading ``zone_id`` off :class:`~repro.hardware.Zone` dataclasses in
+    that loop costs an attribute lookup per visit.  This flattens the
+    maps' per-module zone groups to int tuples once per topology (cached
+    on the maps object, which is itself cached per canonical machine spec).
+    """
+    cached = getattr(maps, "_zone_id_tables", None)
+    if cached is not None:
+        return cached
+    tables = (
+        tuple(
+            tuple(zone.zone_id for zone in group) for group in maps.module_zones
+        ),
+        tuple(
+            tuple(zone.zone_id for zone in group)
+            for group in maps.module_gate_zones
+        ),
+        tuple(
+            tuple(zone.zone_id for zone in group)
+            for group in maps.module_optical_zones
+        ),
+    )
+    object.__setattr__(maps, "_zone_id_tables", tables)
+    return tables
+
+
 class _Engine:
     """The fused event loop (see module docstring).
 
-    Status codes per DAG node: -1 not tracked, 0 parked watcher
-    (legacy ``_CLEAN``), 1 in the current pass (``_CURRENT``), 2 queued
-    for the next pass (``_PENDING``).
+    Status codes per DAG node: -1 not tracked, 0 parked watcher (blocked
+    until an operand moves), 1 in the current pass, 2 queued for the next
+    pass.
     """
 
     __slots__ = (
@@ -164,9 +187,7 @@ class _Engine:
         "module_optical_ids", "eviction_preference",
     )
 
-    def __init__(
-        self, machine, maps, dag, placement, loc, config, insert, threshold
-    ) -> None:
+    def __init__(self, machine, maps, dag, placement, loc, config) -> None:
         self.machine = machine
         self.records: list[tuple[int, ...]] = []
         num_zones = len(maps.zone_capacity)
@@ -189,13 +210,8 @@ class _Engine:
         self.qb = dag.qubit_b
         self.succs = dag.successors
         self.preds = dag.predecessors
-        if _np is not None:
-            in_deg_arr = _np.fromiter(dag.in_degree, dtype=_np.int64, count=n)
-            current = _np.flatnonzero(in_deg_arr == 0).tolist()
-            self.in_deg = in_deg_arr.tolist()
-        else:
-            self.in_deg = list(dag.in_degree)
-            current = [i for i in range(n) if not self.in_deg[i]]
+        self.in_deg = in_deg = list(dag.in_degree)
+        current = [i for i in range(n) if not in_deg[i]]
         self.completed = bytearray(n)
         self.remaining = n
 
@@ -218,8 +234,8 @@ class _Engine:
 
         self.use_lru = config.use_lru
         self.slack = config.optical_slack
-        self.insert = insert
-        self.threshold = threshold
+        self.insert = config.use_swap_insertion
+        self.threshold = config.swap_threshold
 
         self.zone_capacity = maps.zone_capacity
         self.zone_allows_gates = maps.zone_allows_gates
@@ -230,7 +246,7 @@ class _Engine:
         self.paths = maps.paths
         self.distances = maps.distances
         self.module_zone_ids = maps.module_zone_ids
-        all_ids, gate_ids, optical_ids = module_zone_id_tables(maps)
+        all_ids, gate_ids, optical_ids = _module_zone_id_tables(maps)
         self.module_all_ids = all_ids
         self.module_gate_ids = gate_ids
         self.module_optical_ids = optical_ids
@@ -285,8 +301,8 @@ class _Engine:
                 for node in current:
                     status[node] = 1
             # ``current`` is consumed in ascending order via the cursor;
-            # watchers woken mid-pass insort past it, preserving the
-            # min-heap pop order of the legacy engine.
+            # watchers woken mid-pass insort past it, so the pass still
+            # examines gates in ascending (FCFS) order.
             while cptr < clen:
                 node = current[cptr]
                 cptr += 1
@@ -380,7 +396,7 @@ class _Engine:
 
     def _route_oldest(self) -> None:
         """FCFS fallback: route and fire the oldest frontier 2q gate."""
-        self._catch_up()  # legacy queries the look-ahead window here
+        self._catch_up()  # routing reads the look-ahead window
         parked = self.parked
         status = self.status
         while status[parked[0]] != 0:
@@ -634,7 +650,7 @@ class _Engine:
             # decrease — so its successors were outside and stay outside.
 
     # ------------------------------------------------------------------
-    # Routing (transliterated from core/routing.py)
+    # Routing (§3.2: multi-level zone choice, LRU eviction)
     # ------------------------------------------------------------------
 
     def _route_local(self, qubit_a: int, qubit_b: int) -> None:
@@ -650,11 +666,10 @@ class _Engine:
         target = self._choose_local(qubit_a, qubit_b, census)
         movers = [q for q in (qubit_a, qubit_b) if loc[q] != target]
         if movers:
-            # Legacy passes slack=0 for local routes, so the fiber-zone
-            # slack gate resolves to 0 either way.
+            # Local routes evict without slack (see _route_oldest).
             needed = len(movers)
             if self.zone_capacity[target] - len(self.chains[target]) < needed:
-                self._make_room(target, needed, (qubit_a, qubit_b), 0)
+                self._clear_room(target, needed, (qubit_a, qubit_b), 0)
             for qubit in movers:
                 self._shuttle(qubit, target)
 
@@ -679,7 +694,7 @@ class _Engine:
         target = self._choose_optical(qubit)
         if self.loc[qubit] != target:
             if self.zone_capacity[target] - len(self.chains[target]) < 1:
-                self._make_room(target, 1, (qubit,), slack)
+                self._clear_room(target, 1, (qubit,), slack)
             self._shuttle(qubit, target)
 
     def _choose_local(
@@ -791,7 +806,7 @@ class _Engine:
             )
         return best_zone
 
-    def _make_room(
+    def _clear_room(
         self, zone_id: int, needed: int, protected: tuple, slack: int
     ) -> None:
         capacity = self.zone_capacity[zone_id]
@@ -860,7 +875,7 @@ class _Engine:
             self.evictions += 1
 
     # ------------------------------------------------------------------
-    # Op emission (transliterated from core/state.py)
+    # Op emission
     # ------------------------------------------------------------------
 
     def _shuttle(self, qubit: int, destination: int) -> None:
@@ -916,14 +931,14 @@ class _Engine:
         records.append((K_MERGE, qubit, destination))
         destination_chain.append(qubit)
         loc[qubit] = destination
-        self.clock += 1  # legacy bumps the clock; last_used is already set
+        self.clock += 1  # a shuttle ticks the LRU clock but touches no qubit
 
     # ------------------------------------------------------------------
-    # SWAP insertion (transliterated from core/swap_insertion.py)
+    # SWAP insertion (§3.3 weight-table rule)
     # ------------------------------------------------------------------
 
     def _insert_swaps(self, qubit_a: int, qubit_b: int) -> None:
-        self._catch_up()  # legacy builds the weight table here
+        self._catch_up()  # the weight table reads the look-ahead window
         busy = (qubit_a, qubit_b)
         self._consider_swap(qubit_a, busy)
         self._consider_swap(qubit_b, busy)

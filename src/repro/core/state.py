@@ -1,19 +1,19 @@
 """Compile-time machine state and op emission.
 
-:class:`MachineState` is the single mutable object threaded through the
-MUSS-TI scheduling loop: it mirrors what the executor will later replay
-(per-zone ion chains, logical-qubit locations) plus compile-time-only
-bookkeeping (LRU timestamps, per-zone usage pressure used for load
-balancing across multiple optical zones).
+:class:`MachineState` is the mutable scheduling state the grid baselines
+thread through their loops, and the record of the MUSS-TI array core's
+final state (:meth:`MachineState.adopt_array_core`): it mirrors what the
+executor will later replay (per-zone ion chains, logical-qubit
+locations) plus compile-time-only bookkeeping (LRU timestamps, per-zone
+usage pressure).
 
 The state works over any :class:`~repro.hardware.Machine` — typically one
 resolved from a registry spec string (``"eml:16:2"``, ``"grid:2x2:12"``,
 ``"ring:8:16"``...) or lowered from a declarative
 :class:`~repro.hardware.ArchitectureSpec`.  On construction it grabs the
 machine's precomputed :class:`~repro.hardware.TopologyMaps` (cached per
-canonical machine spec), so the per-op queries the scheduling loop hammers
-— *which module is this qubit in? how far is this zone? how much space is
-left?* — are array lookups, not scans or searches.
+canonical machine spec), so capacity and path queries are array lookups,
+not scans or searches.
 
 All physical-op emission funnels through :meth:`shuttle`, which handles the
 chain-edge discipline: an interior ion is first bubbled to the nearest chain
@@ -23,18 +23,16 @@ then split, moved hop by hop, and merged at the destination tail.
 
 from __future__ import annotations
 
+from ..circuits import Gate
 from ..hardware import Machine
 from ..sim.ops import (
     ChainSwapOp,
-    FiberGateOp,
     GateOp,
     MergeOp,
     MoveOp,
     Operation,
     SplitOp,
-    SwapGateOp,
 )
-from ..circuits import Gate
 
 
 class RoutingError(RuntimeError):
@@ -56,7 +54,6 @@ class MachineState:
         self.machine = machine
         #: Precomputed topology lookups shared by every hot-path query.
         self.maps = machine.topology_maps()
-        self._zone_module = self.maps.zone_module
         self._zone_capacity = self.maps.zone_capacity
         self._paths = self.maps.paths
         self.chains: dict[int, list[int]] = {
@@ -95,26 +92,11 @@ class MachineState:
     def zone_of(self, qubit: int) -> int:
         return self.location[qubit]
 
-    def module_of(self, qubit: int) -> int:
-        return self._zone_module[self.location[qubit]]
-
     def free_space(self, zone_id: int) -> int:
         return self._zone_capacity[zone_id] - len(self.chains[zone_id])
 
-    def qubits_in_module(self, module_id: int) -> list[int]:
-        qubits: list[int] = []
-        chains = self.chains
-        for zone in self.maps.module_zones[module_id]:
-            qubits.extend(chains[zone.zone_id])
-        return qubits
-
     def co_located(self, qubit_a: int, qubit_b: int) -> bool:
         return self.location[qubit_a] == self.location[qubit_b]
-
-    def same_module(self, qubit_a: int, qubit_b: int) -> bool:
-        zone_module = self._zone_module
-        location = self.location
-        return zone_module[location[qubit_a]] == zone_module[location[qubit_b]]
 
     # ------------------------------------------------------------------
     # LRU clock
@@ -126,30 +108,8 @@ class MachineState:
         for qubit in qubits:
             self.last_used[qubit] = self._clock
 
-    def lru_victim(
-        self,
-        zone_id: int,
-        protected: frozenset[int],
-        future_qubits: frozenset[int] = frozenset(),
-    ) -> int:
-        """Least-recently-used evictable qubit of a zone (paper's policy).
-
-        ``future_qubits`` — operands of gates within the look-ahead window —
-        are spared while alternatives exist, giving the LRU scheduler the
-        anticipatory awareness §5.1 attributes to the bidirectional mapping.
-        """
-        candidates = [q for q in self.chains[zone_id] if q not in protected]
-        if not candidates:
-            raise RoutingError(
-                f"zone {zone_id} has no evictable qubit (all protected)"
-            )
-        return min(
-            candidates,
-            key=lambda q: (q in future_qubits, self.last_used[q]),
-        )
-
     def fifo_victim(self, zone_id: int, protected: frozenset[int]) -> int:
-        """Chain-head eviction, the no-LRU ablation alternative."""
+        """Chain-head eviction (the grid baselines' FIFO policy)."""
         for qubit in self.chains[zone_id]:
             if qubit not in protected:
                 return qubit
@@ -244,31 +204,6 @@ class MachineState:
         self.zone_usage[zone_id] += 0.25
         self.touch(*gate.qubits)
 
-    def emit_fiber_gate(self, gate: Gate, circuit_index: int) -> None:
-        qubit_a, qubit_b = gate.qubits
-        zone_a = self.location[qubit_a]
-        zone_b = self.location[qubit_b]
-        self.operations.append(FiberGateOp(gate, zone_a, zone_b, circuit_index))
-        self.zone_usage[zone_a] += 0.5
-        self.zone_usage[zone_b] += 0.5
-        self.touch(*gate.qubits)
-
-    def emit_swap_gate(self, qubit_a: int, qubit_b: int) -> None:
-        """Emit a logical SWAP and update the chains/locations to match."""
-        zone_a = self.location[qubit_a]
-        zone_b = self.location[qubit_b]
-        self.operations.append(SwapGateOp(qubit_a, qubit_b, zone_a, zone_b))
-        chain_a = self.chains[zone_a]
-        chain_b = self.chains[zone_b]
-        chain_a[chain_a.index(qubit_a)] = qubit_b
-        chain_b[chain_b.index(qubit_b)] = qubit_a
-        self.location[qubit_a] = zone_b
-        self.location[qubit_b] = zone_a
-        self.stats["inserted_swaps"] += 1
-        self.zone_usage[zone_a] += 0.75
-        self.zone_usage[zone_b] += 0.75
-        self.touch(qubit_a, qubit_b)
-
     def final_placement(self) -> dict[int, tuple[int, ...]]:
         """Chains at the end of scheduling (SABRE's pass output)."""
         return {
@@ -295,11 +230,11 @@ class MachineState:
 
         The engine works over flat int-indexed arrays; this writes its
         outcome back into the dict-shaped views the rest of the pipeline
-        reads (``final_placement``, SABRE's two-fold search, pass stats),
-        preserving the dict key orders a legacy run would have produced:
-        all existing keys were created in ``__init__`` and only their
-        values change.  ``operations`` stays empty — the schedule lives
-        in ``packed`` (a :class:`~repro.sim.oparray.PackedOps`).
+        reads (``final_placement``, SABRE's two-fold search, pass stats).
+        Every key already exists from ``__init__`` and only values
+        change, so the dict key orders stay those of a fresh state.
+        ``operations`` stays empty — the schedule lives in ``packed`` (a
+        :class:`~repro.sim.oparray.PackedOps`).
         """
         for zone_id in self.chains:
             self.chains[zone_id] = list(chains[zone_id])

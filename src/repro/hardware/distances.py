@@ -1,6 +1,6 @@
 """Precomputed per-machine topology maps for the scheduling hot path.
 
-The scheduler (``core/routing.py`` / ``core/state.py``) and the executor
+The schedulers (``core/arraycore.py``, the grid baselines) and the executor
 ask the same static questions millions of times per compile: *which zones
 belong to this module?  how far apart are these two zones?  what is the
 shuttle path between them?*  The seed implementation answered each query

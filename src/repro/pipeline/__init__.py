@@ -3,10 +3,10 @@
 Two public ideas live here:
 
 * **Passes** — the MUSS-TI compiler decomposed into composable stages
-  (validation, placement, the scheduling loop with a pluggable SWAP
-  policy) run over a shared :class:`CompileContext` by a
-  :class:`PassPipeline`.  The Fig 8 ablation arms are pipeline variants,
-  assembled by :func:`build_muss_ti_pipeline`.
+  (validation, placement, the scheduling loop) run over a shared
+  :class:`CompileContext` by a :class:`PassPipeline`.  The Fig 8
+  ablation arms are pipeline variants, assembled by
+  :func:`build_muss_ti_pipeline`.
 * **Registry** — one name -> factory table (:class:`CompilerRegistry`)
   every front-end resolves through, addressed by spec strings like
   ``"muss-ti?lookahead_k=4"``.  The built-in registrations (MUSS-TI, its
@@ -19,16 +19,13 @@ one-call front door over both.
 
 from .context import CompileContext, CompileResult
 from .passes import (
-    NoSwapInsertion,
     Pass,
     PassPipeline,
     PipelineError,
     SabrePlacementPass,
     SchedulingPass,
-    SwapInsertionPolicy,
     TrivialPlacementPass,
     ValidateNativePass,
-    WeightTableSwapInsertion,
     build_muss_ti_pipeline,
 )
 from .registry import (
@@ -55,16 +52,13 @@ __all__ = [
     "CompilerEntry",
     "CompilerRegistry",
     "MUSS_TI_OPTIONS",
-    "NoSwapInsertion",
     "Pass",
     "PassPipeline",
     "PipelineError",
     "SabrePlacementPass",
     "SchedulingPass",
-    "SwapInsertionPolicy",
     "TrivialPlacementPass",
     "ValidateNativePass",
-    "WeightTableSwapInsertion",
     "available_compilers",
     "build_muss_ti_pipeline",
     "coerce_option_value",

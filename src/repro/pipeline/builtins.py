@@ -8,8 +8,8 @@ default registry always knows the compilers the paper compares:
 * ``muss-ti`` — the full pipeline (SABRE + SWAP insertion), Table 2
   column 4, evaluated on EML-QCCD machines.
 * ``trivial`` / ``sabre`` / ``swap-insert`` — the Fig 8 ablation arms,
-  i.e. MUSS-TI pipelines with the placement pass and/or SWAP policy
-  swapped out.
+  i.e. MUSS-TI pipelines with the placement pass swapped and/or SWAP
+  insertion switched off.
 
 Every MUSS-TI-family entry accepts the :class:`~repro.core.config.
 MussTiConfig` fields as spec options, e.g. ``muss-ti?lookahead_k=4`` or

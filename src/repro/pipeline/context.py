@@ -2,7 +2,7 @@
 
 A :class:`CompileContext` is the mutable scratch space every
 :class:`~repro.pipeline.passes.Pass` reads and writes: the inputs (circuit,
-machine, config), the artefacts produced so far (placement, dependency DAG,
+machine, config), the artefacts produced so far (placement, scheduled
 machine state) and per-pass bookkeeping (wall time, counters, free-form
 diagnostic notes).  A :class:`CompileResult` is the immutable outcome: the
 executable :class:`~repro.sim.Program` plus the pipeline diagnostics that do
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..circuits import DependencyGraph, QuantumCircuit
+from ..circuits import QuantumCircuit
 from ..hardware import Machine
 from ..sim import Program
 
@@ -29,15 +29,14 @@ class CompileContext:
     """Mutable state handed from pass to pass.
 
     ``placement`` starts as the caller-provided initial placement (or
-    ``None``); a placement pass fills it in when absent.  ``dag`` and
-    ``state`` are created by the first scheduling pass that needs them.
+    ``None``); a placement pass fills it in when absent.  ``state`` is the
+    scheduling pass's output.
     """
 
     circuit: QuantumCircuit
     machine: Machine
     config: Any = None
     placement: dict[int, tuple[int, ...]] | None = None
-    dag: DependencyGraph | None = None
     state: "MachineState | None" = None
     #: Per-pass counters and timings, keyed by pass name.
     pass_stats: dict[str, dict[str, float]] = field(default_factory=dict)

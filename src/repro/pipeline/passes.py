@@ -10,33 +10,28 @@ The MUSS-TI compiler is a short sequence of passes over a shared
    search).  Placement passes are no-ops when the caller supplied an
    initial placement.
 3. :class:`SchedulingPass` — the Fig 3 interleaved loop: executable-first
-   gate selection, multi-level routing with LRU eviction, and a pluggable
-   post-fiber-gate :class:`SwapInsertionPolicy` (§3.3 weight-table rule, or
-   none).
+   gate selection, multi-level routing with LRU eviction, and the §3.3
+   weight-table SWAP insertion after fiber gates when
+   :attr:`~repro.core.config.MussTiConfig.use_swap_insertion` is set.
 
-The Fig 8 ablation arms are therefore pipeline *variants*: swap the
-placement pass and the SWAP policy instead of threading booleans through a
-monolithic compiler.  :func:`build_muss_ti_pipeline` maps a
+The Fig 8 ablation arms are therefore pipeline *variants*: the placement
+pass and the config's SWAP-insertion flag change, the scheduling loop
+does not.  :func:`build_muss_ti_pipeline` maps a
 :class:`~repro.core.config.MussTiConfig` onto the matching variant, which
-is exactly what :class:`~repro.core.compiler.MussTiCompiler` now wraps.
+is exactly what :class:`~repro.core.compiler.MussTiCompiler` wraps.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from heapq import heappop, heappush
+from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
-from ..circuits import DependencyGraph, Gate, QuantumCircuit, validate_native
+from ..circuits import QuantumCircuit, validate_native
+from ..core.arraycore import schedule
 from ..core.config import MussTiConfig
 from ..core.mapping import sabre_placement, trivial_placement
-from ..core.routing import route_fiber_gate, route_local_gate
-from ..core.state import MachineState
-from ..core.swap_insertion import maybe_insert_swaps
 from ..hardware import Machine
-from ..sim import Program
-from ..sim.ops import MergeOp, SwapGateOp
 from ..sim.program import ArrayProgram
 from .context import CompileContext, CompileResult
 
@@ -45,69 +40,18 @@ class PipelineError(Exception):
     """A pipeline was assembled or driven incorrectly."""
 
 
-def _link_key(module_a: int, module_b: int) -> tuple[int, int]:
-    """Normalised optical-link name, matching ``TopologyMaps.blocked_links``."""
-    return (module_a, module_b) if module_a < module_b else (module_b, module_a)
-
-
 @runtime_checkable
 class Pass(Protocol):
     """One stage of a compiler pipeline.
 
     A pass mutates the :class:`CompileContext` in place — filling in the
-    placement, emitting operations through the machine state, recording
-    stats — and returns nothing.
+    placement, producing the scheduled machine state, recording stats —
+    and returns nothing.
     """
 
     name: str
 
     def run(self, context: CompileContext) -> None: ...
-
-
-@runtime_checkable
-class SwapInsertionPolicy(Protocol):
-    """Post-gate hook of the scheduling loop (runs after fiber gates)."""
-
-    name: str
-
-    def after_fiber_gate(
-        self, state: MachineState, dag: DependencyGraph, gate: Gate
-    ) -> int: ...
-
-
-# ---------------------------------------------------------------------------
-# SWAP-insertion policies
-# ---------------------------------------------------------------------------
-
-
-class NoSwapInsertion:
-    """Ablation arms without §3.3: never insert a remote SWAP."""
-
-    name = "none"
-
-    def after_fiber_gate(
-        self, state: MachineState, dag: DependencyGraph, gate: Gate
-    ) -> int:
-        return 0
-
-
-class WeightTableSwapInsertion:
-    """The §3.3 weight-table rule, applied after every fiber gate."""
-
-    name = "weight-table"
-
-    def __init__(self, config: MussTiConfig) -> None:
-        # Constructing this policy *is* the decision to insert SWAPs; don't
-        # let a config built for another arm silently disable it (the
-        # engine in maybe_insert_swaps re-checks the flag).
-        if not config.use_swap_insertion:
-            config = replace(config, use_swap_insertion=True)
-        self.config = config
-
-    def after_fiber_gate(
-        self, state: MachineState, dag: DependencyGraph, gate: Gate
-    ) -> int:
-        return maybe_insert_swaps(state, dag, self.config, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -170,245 +114,8 @@ class SabrePlacementPass:
         context.record(self.name, placed_qubits=float(context.circuit.num_qubits))
 
 
-class _EventDrivenScheduler:
-    """Event-driven engine behind :class:`SchedulingPass`.
-
-    The seed implementation drained the frontier with repeated full passes:
-    scan every ready gate in FCFS order, execute what fits the hardware,
-    and rescan until a whole pass makes no progress.  That re-examines
-    every blocked gate once per pass even though a two-qubit gate's
-    executability is a pure function of its two operands' zones — it can
-    only change when one of those ions *moves*.
-
-    This engine keeps the exact same examination order but skips the
-    no-op re-checks, driven by two ready-event heaps:
-
-    * ``current`` — the gates still to examine in this pass, a min-heap so
-      examination stays in FCFS (ascending node id) order;
-    * ``pending`` — the events for the next pass: gates whose dependencies
-      just resolved, and blocked gates whose operands just moved at or
-      before the examination cursor.
-
-    Blocked gates park as *watchers* on their operand qubits.  When a
-    shuttle merge or an inserted SWAP moves qubit ``q`` (detected from the
-    ops appended to the machine state), ``q``'s watchers re-enter
-    ``current`` when they sit past the cursor — the seed's pass would
-    still reach them this sweep — and ``pending`` otherwise.  A stalled
-    frontier (both heaps empty) falls through to the router, exactly like
-    the seed's no-progress pass.
-
-    The replay is order-exact, not merely equivalent: the differential
-    suite pins the emitted op streams byte-for-byte against the frozen
-    seed copy.
-    """
-
-    _CLEAN, _CURRENT, _PENDING = 0, 1, 2
-
-    def __init__(
-        self,
-        dag: DependencyGraph,
-        state: MachineState,
-        config: MussTiConfig,
-        policy: SwapInsertionPolicy,
-    ) -> None:
-        self.dag = dag
-        self.state = state
-        self.config = config
-        self.policy = policy
-        maps = state.maps
-        self._allows_gates = maps.zone_allows_gates
-        self._allows_fiber = maps.zone_allows_fiber
-        self._zone_module = maps.zone_module
-        self._blocked_links = maps.blocked_links
-        #: frontier node -> _CLEAN (parked watcher) / _CURRENT / _PENDING.
-        self.status: dict[int, int] = {}
-        #: qubit -> set of _CLEAN frontier nodes blocked on it.
-        self.watchers: dict[int, set[int]] = {}
-        # A sorted list is a valid min-heap; dag.frontier() is ascending.
-        self.current: list[int] = dag.frontier()
-        self.pending: list[int] = []
-        for node in self.current:
-            self.status[node] = self._CURRENT
-        #: High-water mark into ``state.operations`` for move detection.
-        self.ops_seen = len(state.operations)
-
-    def run(self) -> None:
-        dag = self.dag
-        while True:
-            self._drain()
-            if dag.is_empty:
-                return
-            self._route_oldest()
-
-    # -- stage 1: executable-first gate selection ----------------------
-
-    def _drain(self) -> None:
-        """Execute frontier gates that already meet hardware requirements."""
-        dag, state = self.dag, self.state
-        status = self.status
-        location = state.location
-        allows_gates = self._allows_gates
-        allows_fiber = self._allows_fiber
-        zone_module = self._zone_module
-        blocked_links = self._blocked_links
-        while True:
-            if not self.current:
-                if not self.pending:
-                    return
-                # Pass boundary: next pass examines last pass's events.
-                self.pending.sort()
-                self.current = self.pending
-                self.pending = []
-                for node in self.current:
-                    status[node] = self._CURRENT
-            while self.current:
-                node = heappop(self.current)
-                gate = dag.gate(node)
-                qubits = gate.qubits
-                if len(qubits) == 1:
-                    state.emit_one_qubit_gate(gate, node)
-                    self._on_completed(node, dag.complete(node))
-                    continue
-                qubit_a, qubit_b = qubits
-                zone_a = location[qubit_a]
-                zone_b = location[qubit_b]
-                if zone_a == zone_b:
-                    if allows_gates[zone_a]:
-                        state.emit_local_gate(gate, node)
-                        self._on_completed(node, dag.complete(node))
-                        continue
-                elif (
-                    allows_fiber[zone_a]
-                    and allows_fiber[zone_b]
-                    and zone_module[zone_a] != zone_module[zone_b]
-                    and (
-                        not blocked_links
-                        or _link_key(zone_module[zone_a], zone_module[zone_b])
-                        not in blocked_links
-                    )
-                ):
-                    state.emit_fiber_gate(gate, node)
-                    newly_ready = dag.complete(node)
-                    self.policy.after_fiber_gate(state, dag, gate)
-                    self._on_completed(node, newly_ready)
-                    self._note_moves(cursor=node)
-                    continue
-                # Blocked: park as a watcher until an operand moves.
-                status[node] = self._CLEAN
-                watchers = self.watchers
-                for qubit in qubits:
-                    bucket = watchers.get(qubit)
-                    if bucket is None:
-                        bucket = watchers[qubit] = set()
-                    bucket.add(node)
-
-    # -- stage 2 + 3: routing and the post-gate policy ------------------
-
-    def _route_oldest(self) -> None:
-        """FCFS fallback: route and fire the oldest frontier two-qubit gate."""
-        dag, state, config = self.dag, self.state, self.config
-        # At a stall ``status`` holds exactly the frontier (all parked), so
-        # the FCFS pick is its minimum — no need to sort the frontier.
-        node = min(self.status)
-        gate = dag.gate(node)
-        qubit_a, qubit_b = gate.qubits
-        k = config.lookahead_k
-        partners_index = dag.lookahead_partners(k)
-        future_qubits = dag.lookahead_qubits(k)
-        if state.same_module(qubit_a, qubit_b):
-            # Local gates route without slack: batch demotion only pays for
-            # itself on the fiber path, where arrivals are one-directional.
-            route_local_gate(
-                state,
-                qubit_a,
-                qubit_b,
-                use_lru=config.use_lru,
-                lookahead=(partners_index, future_qubits),
-            )
-            state.emit_local_gate(gate, node)
-            newly_ready = dag.complete(node)
-        else:
-            route_fiber_gate(
-                state,
-                qubit_a,
-                qubit_b,
-                use_lru=config.use_lru,
-                future_qubits=future_qubits,
-                slack=config.optical_slack,
-            )
-            state.emit_fiber_gate(gate, node)
-            newly_ready = dag.complete(node)
-            self.policy.after_fiber_gate(state, dag, gate)
-        # At a stall every frontier node is a parked watcher, including the
-        # node just routed: unpark it, then queue the fallout for the next
-        # drain pass (the seed rescans the frontier after routing).
-        self._unwatch(node, gate)
-        del self.status[node]
-        self._on_newly_ready(newly_ready)
-        self._note_moves(cursor=None)
-
-    # -- event bookkeeping ----------------------------------------------
-
-    def _on_completed(self, node: int, newly_ready: list[int]) -> None:
-        del self.status[node]
-        self._on_newly_ready(newly_ready)
-
-    def _on_newly_ready(self, newly_ready: list[int]) -> None:
-        status = self.status
-        pending = self.pending
-        for node in newly_ready:
-            status[node] = self._PENDING
-            pending.append(node)
-
-    def _unwatch(self, node: int, gate: Gate) -> None:
-        watchers = self.watchers
-        for qubit in gate.qubits:
-            bucket = watchers.get(qubit)
-            if bucket is not None:
-                bucket.discard(node)
-
-    def _note_moves(self, cursor: int | None) -> None:
-        """Wake the watchers of every qubit that moved since the last scan.
-
-        A qubit changes zones exactly when a shuttle completes (``MergeOp``)
-        or a logical SWAP relabels two chain slots (``SwapGateOp``); gate
-        and transport ops in between cannot affect executability.  With a
-        ``cursor`` (mid-pass, after a fiber gate's SWAP policy) watchers
-        past the cursor re-enter the current pass — the seed's sweep would
-        still reach them — and earlier ones wait for the next pass.
-        """
-        operations = self.state.operations
-        seen = self.ops_seen
-        if seen == len(operations):
-            return
-        self.ops_seen = len(operations)
-        watchers = self.watchers
-        status = self.status
-        dag = self.dag
-        for op in operations[seen:]:
-            op_type = type(op)
-            if op_type is MergeOp:
-                moved = (op.qubit,)
-            elif op_type is SwapGateOp:
-                moved = (op.qubit_a, op.qubit_b)
-            else:
-                continue
-            for qubit in moved:
-                bucket = watchers.get(qubit)
-                if not bucket:
-                    continue
-                for node in tuple(bucket):
-                    self._unwatch(node, dag.gate(node))
-                    if cursor is not None and node > cursor:
-                        status[node] = self._CURRENT
-                        heappush(self.current, node)
-                    else:
-                        status[node] = self._PENDING
-                        self.pending.append(node)
-
-
 class SchedulingPass:
-    """The Fig 3 loop: gate selection, multi-level routing, post-gate policy.
+    """The Fig 3 loop: gate selection, multi-level routing, SWAP insertion.
 
     Interleaves three stages until the dependency DAG is empty:
 
@@ -422,37 +129,21 @@ class SchedulingPass:
        multi-level policy, cross-module gates into their optical zones for
        a fiber gate.  Zone conflicts are resolved by LRU eviction to lower
        levels (page-fault analogy, Fig 4).
-    3. **Post-gate policy** — after each cross-module gate, the configured
-       :class:`SwapInsertionPolicy` may insert a remote logical SWAP to
-       migrate a qubit to the module where its upcoming partners live
-       (Fig 5).
+    3. **SWAP insertion** — with ``use_swap_insertion`` set, after each
+       cross-module gate the §3.3 weight-table rule may insert a remote
+       logical SWAP to migrate a qubit to the module where its upcoming
+       partners live (Fig 5).
 
-    Gate selection runs on the event-driven :class:`_EventDrivenScheduler`
-    (ready-event heaps plus operand watchers) instead of repeated frontier
-    rescans; the emitted schedule is byte-identical to the seed loop.
-
-    Constructed without a config, the pass reads the pipeline-level one
-    from the context at run time (and derives the default SWAP policy
-    from it).
+    The loop runs on the array core (:func:`repro.core.arraycore.schedule`),
+    which always returns a schedule or raises.  Constructed without a
+    config, the pass reads the pipeline-level one from the context at run
+    time.
     """
 
     name = "schedule"
 
-    def __init__(
-        self,
-        config: MussTiConfig | None = None,
-        swap_policy: SwapInsertionPolicy | None = None,
-    ) -> None:
+    def __init__(self, config: MussTiConfig | None = None) -> None:
         self.config = config
-        if swap_policy is None and config is not None:
-            swap_policy = self._default_policy(config)
-        self.swap_policy = swap_policy
-
-    @staticmethod
-    def _default_policy(config: MussTiConfig) -> SwapInsertionPolicy:
-        if config.use_swap_insertion:
-            return WeightTableSwapInsertion(config)
-        return NoSwapInsertion()
 
     def run(self, context: CompileContext) -> None:
         if context.placement is None:
@@ -460,34 +151,17 @@ class SchedulingPass:
                 "SchedulingPass needs a placement; run a placement pass first "
                 "or pass initial_placement to compile()"
             )
-        config = _context_config(self.config, context)
-        policy = self.swap_policy or self._default_policy(config)
-        if context.dag is None and context.state is None:
-            # Fresh context: try the array-core engine (flat int state,
-            # packed op records — byte-identical schedules, no op objects).
-            from ..core.arraycore import try_array_schedule
-
-            state = try_array_schedule(
-                context.circuit, context.machine, context.placement,
-                config, policy,
-            )
-            if state is not None:
-                context.state = state
-                context.record(
-                    self.name,
-                    scheduled_gates=float(len(context.circuit)),
-                    inserted_swaps=float(state.stats.get("inserted_swaps", 0)),
-                )
-                return
-        if context.dag is None:
-            context.dag = DependencyGraph(context.circuit)
-        if context.state is None:
-            context.state = MachineState(context.machine, context.placement)
-        _EventDrivenScheduler(context.dag, context.state, config, policy).run()
+        state = schedule(
+            context.circuit,
+            context.machine,
+            context.placement,
+            _context_config(self.config, context),
+        )
+        context.state = state
         context.record(
             self.name,
             scheduled_gates=float(len(context.circuit)),
-            inserted_swaps=float(context.state.stats.get("inserted_swaps", 0)),
+            inserted_swaps=float(state.stats["inserted_swaps"]),
         )
 
 
@@ -533,45 +207,21 @@ class PassPipeline:
             context.record(
                 stage.name, seconds=time.perf_counter() - stage_started
             )
-        if context.state is None or context.placement is None:
+        state = context.state
+        if state is None or state.packed_ops is None or context.placement is None:
             raise PipelineError(
                 f"pipeline {self.name!r} produced no schedule "
                 f"(passes: {self.describe() or 'none'}); add a SchedulingPass"
             )
-        elapsed = time.perf_counter() - started
-        packed = getattr(context.state, "packed_ops", None)
-        if packed is not None and not context.state.operations:
-            program: Program = ArrayProgram(
-                machine=machine,
-                circuit=circuit,
-                initial_placement=dict(context.placement),
-                packed=packed,
-                compiler_name=self.name,
-                compile_time_s=elapsed,
-                metadata={
-                    key: float(value)
-                    for key, value in context.state.stats.items()
-                },
-                final_placement=context.state.final_placement(),
-            )
-            return CompileResult(
-                program=program,
-                pass_stats={
-                    name: dict(s) for name, s in context.pass_stats.items()
-                },
-                diagnostics=tuple(context.diagnostics),
-            )
-        program = Program(
+        program = ArrayProgram(
             machine=machine,
             circuit=circuit,
             initial_placement=dict(context.placement),
-            operations=context.state.operations,
+            packed=state.packed_ops,
             compiler_name=self.name,
-            compile_time_s=elapsed,
-            metadata={
-                key: float(value) for key, value in context.state.stats.items()
-            },
-            final_placement=context.state.final_placement(),
+            compile_time_s=time.perf_counter() - started,
+            metadata={key: float(value) for key, value in state.stats.items()},
+            final_placement=state.final_placement(),
         )
         return CompileResult(
             program=program,
@@ -585,8 +235,8 @@ def build_muss_ti_pipeline(
 ) -> PassPipeline:
     """Assemble the pipeline variant matching a :class:`MussTiConfig`.
 
-    The four Fig 8 ablation arms map onto the four (placement pass, SWAP
-    policy) combinations; the scheduling loop itself is shared.
+    The four Fig 8 ablation arms map onto the four (placement pass,
+    ``use_swap_insertion``) combinations; the scheduling loop is shared.
     """
     config = config or MussTiConfig()
     placement: Pass = (

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import replace
 
-from repro.circuits import Gate, QuantumCircuit
-from repro.core import MussTiCompiler, MussTiConfig
+import pytest
+from differential.reference import RefRoutingError, reference_compile
+
+from repro.circuits import QuantumCircuit
+from repro.core import MussTiCompiler, MussTiConfig, RoutingError
+from repro.hardware import EMLQCCDMachine, ModuleLayout
 from repro.sim import (
     FiberGateOp,
     GateOp,
+    MergeOp,
+    SplitOp,
     SwapGateOp,
     execute,
     verify_program,
@@ -187,3 +193,274 @@ class TestPaperScaleBehaviour:
         report = execute(program)
         assert report.shuttle_count <= 40
         verify_program(program)
+
+
+# ---------------------------------------------------------------------------
+# Routing and SWAP-insertion scenarios, each compiled from an explicit
+# placement and pinned byte-for-byte against the frozen seed scheduler.
+#
+# Zone ids of the EML machines below: module 0 holds optical 0 (level 2),
+# operation 1 (level 1) and storage 2, 3 (level 0); module 1 holds optical 4,
+# operation 5 and storage 6, 7.  The dual-optical layout puts module 0's
+# optical zones at 0 and 1, its storage at 3 and 4, and module 1's first
+# optical zone at 5.
+# ---------------------------------------------------------------------------
+
+
+def one_module():
+    return EMLQCCDMachine(num_modules=1, trap_capacity=4)
+
+
+def two_modules():
+    return EMLQCCDMachine(num_modules=2, trap_capacity=4)
+
+
+def two_modules_cap8():
+    return EMLQCCDMachine(num_modules=2, trap_capacity=8)
+
+
+def dual_optical():
+    return EMLQCCDMachine(
+        num_modules=2, trap_capacity=4, layout=ModuleLayout(num_optical=2)
+    )
+
+
+def cx_circuit(num_qubits, *pairs):
+    circuit = QuantumCircuit(num_qubits)
+    for qubit_a, qubit_b in pairs:
+        circuit.cx(qubit_a, qubit_b)
+    return circuit
+
+
+def star(num_qubits, partners):
+    """Qubit 0 interacts with each partner in turn (Fig 5's hub)."""
+    return cx_circuit(num_qubits, *((0, partner) for partner in partners))
+
+
+def gate_zone(program, index):
+    """Zone (or fiber zone pair) where circuit gate ``index`` fired."""
+    for op in program.operations:
+        if isinstance(op, GateOp) and op.circuit_index == index:
+            return op.zone
+        if isinstance(op, FiberGateOp) and op.circuit_index == index:
+            return (op.zone_a, op.zone_b)
+    raise AssertionError(f"gate {index} never fired")
+
+
+def merges(program):
+    return [(op.qubit, op.zone) for op in program.operations if isinstance(op, MergeOp)]
+
+
+def evicted_before(program, index):
+    """Qubits shuttled out of the way before gate ``index`` fired."""
+    operands = set(program.circuit[index].qubits)
+    evicted = []
+    for op in program.operations:
+        if isinstance(op, (GateOp, FiberGateOp)) and op.circuit_index == index:
+            return evicted
+        if isinstance(op, MergeOp) and op.qubit not in operands:
+            evicted.append(op.qubit)
+    raise AssertionError(f"gate {index} never fired")
+
+
+def swaps(program):
+    return [op for op in program.operations if isinstance(op, SwapGateOp)]
+
+
+TRIVIAL = MussTiConfig.trivial()
+NO_SLACK = replace(TRIVIAL, optical_slack=0)
+SWAP_INSERT = MussTiConfig.swap_insert_only()
+SPLIT_8 = {0: tuple(range(8)), 4: tuple(range(8, 16))}
+
+SCENARIOS = [
+    # -- local routing: zone choice (§3.2) --------------------------------
+    pytest.param(
+        one_module, cx_circuit(2, (0, 1)), {0: (0,), 1: (1,)}, TRIVIAL,
+        lambda p: gate_zone(p, 0) == 0 and merges(p) == [(1, 0)],
+        id="local-tie-goes-to-higher-level",
+    ),
+    pytest.param(
+        one_module, cx_circuit(2, (0, 1)), {0: (0,), 2: (1,)}, TRIVIAL,
+        lambda p: merges(p) == [(1, 0)] and p.metadata["evictions"] == 0,
+        id="local-joins-operand-with-room",
+    ),
+    pytest.param(
+        one_module, cx_circuit(2, (0, 1)), {2: (0, 1)}, TRIVIAL,
+        lambda p: gate_zone(p, 0) == 1 and merges(p) == [(0, 1), (1, 1)],
+        id="local-never-fires-in-storage",
+    ),
+    pytest.param(
+        one_module, cx_circuit(6, (0, 1)), {0: (2, 3, 4, 5), 1: (0,), 2: (1,)},
+        TRIVIAL,
+        lambda p: gate_zone(p, 0) == 1 and p.metadata["evictions"] == 0,
+        id="local-avoids-full-zone",
+    ),
+    pytest.param(
+        one_module, cx_circuit(4, (0, 1), (0, 2), (1, 3)), {0: (0,), 1: (1, 2, 3)},
+        TRIVIAL,
+        lambda p: gate_zone(p, 0) == 1,
+        id="local-partner-census-breaks-tie",
+    ),
+    pytest.param(
+        one_module, cx_circuit(9, (0, 1)), {0: (0, 2, 3, 4), 1: (5, 6, 7, 8), 2: (1,)},
+        TRIVIAL,
+        lambda p: gate_zone(p, 0) == 0
+        and evicted_before(p, 0) == [2]
+        and not any(isinstance(op, SplitOp) and op.qubit == 0 for op in p.operations),
+        id="local-eviction-spares-operand",
+    ),
+    # -- conflict handling: LRU eviction and optical slack -----------------
+    pytest.param(
+        two_modules, cx_circuit(6, (0, 1), (1, 2), (4, 5)),
+        {0: (0, 1, 2, 3), 2: (4,), 4: (5,)}, NO_SLACK,
+        lambda p: merges(p)[0] == (3, 1) and p.metadata["evictions"] == 1,
+        id="lru-evicts-to-lower-level",
+    ),
+    pytest.param(
+        two_modules, cx_circuit(6, (3, 0), (4, 5)), {0: (3, 0, 1, 2), 2: (4,), 4: (5,)},
+        NO_SLACK,
+        lambda p: evicted_before(p, 1) == [1],
+        id="lru-skips-recently-used",
+    ),
+    pytest.param(
+        two_modules, cx_circuit(6, (3, 0), (4, 5)), {0: (3, 0, 1, 2), 2: (4,), 4: (5,)},
+        replace(NO_SLACK, use_lru=False),
+        lambda p: evicted_before(p, 1) == [3],
+        id="fifo-evicts-chain-head",
+    ),
+    pytest.param(
+        two_modules, cx_circuit(6, (0, 1), (4, 5), (2, 5)),
+        {0: (0, 1, 2, 3), 2: (4,), 4: (5,)}, NO_SLACK,
+        lambda p: evicted_before(p, 1) == [3],
+        id="lru-spares-window-qubits",
+    ),
+    pytest.param(
+        two_modules, cx_circuit(10, (8, 9)),
+        {0: (0, 1, 2, 3), 1: (4, 5, 6, 7), 2: (8,), 4: (9,)}, NO_SLACK,
+        lambda p: merges(p)[0] == (0, 3),
+        id="eviction-cascades-to-storage",
+    ),
+    pytest.param(
+        two_modules, cx_circuit(6, (4, 5)), {0: (0, 1, 2, 3), 2: (4,), 4: (5,)},
+        replace(TRIVIAL, optical_slack=2),
+        lambda p: evicted_before(p, 0) == [0, 1, 2],
+        id="slack-batches-evictions",
+    ),
+    pytest.param(
+        two_modules, cx_circuit(6, (4, 5), (0, 5), (1, 5), (2, 5), (3, 5)),
+        {0: (0, 1, 2, 3), 2: (4,), 4: (5,)}, replace(TRIVIAL, optical_slack=3),
+        lambda p: evicted_before(p, 0) == [0],
+        id="slack-spares-window-qubits",
+    ),
+    pytest.param(
+        two_modules, cx_circuit(16, (14, 15)),
+        {0: (0, 1, 2, 3), 1: (4, 5, 6, 7), 2: (8, 9, 10, 11), 3: (12, 13, 14), 4: (15,)},
+        replace(TRIVIAL, optical_slack=8),
+        lambda p: p.metadata["evictions"] == 1,
+        id="slack-stops-at-module-headroom",
+    ),
+    # -- fiber routing into optical zones ----------------------------------
+    pytest.param(
+        two_modules, cx_circuit(2, (0, 1)), {0: (0,), 4: (1,)}, TRIVIAL,
+        lambda p: gate_zone(p, 0) == (0, 4) and p.shuttle_count == 0,
+        id="fiber-in-place",
+    ),
+    pytest.param(
+        two_modules, cx_circuit(2, (0, 1)), {2: (0,), 6: (1,)}, TRIVIAL,
+        lambda p: gate_zone(p, 0) == (0, 4) and merges(p) == [(0, 0), (1, 4)],
+        id="fiber-pulls-both-from-storage",
+    ),
+    pytest.param(
+        dual_optical, cx_circuit(5, (0, 4)), {0: (1, 2, 3), 3: (0,), 5: (4,)}, TRIVIAL,
+        lambda p: gate_zone(p, 0) == (1, 5),
+        id="fiber-balances-optical-zones",
+    ),
+    # -- §3.3 SWAP insertion ------------------------------------------------
+    pytest.param(
+        two_modules_cap8, star(16, range(8, 14)), SPLIT_8, SWAP_INSERT,
+        # Partner 14 has no gate with qubit 0; the SWAP relabels the two
+        # chain slots, and the hub's remaining gates run locally.
+        lambda p: [(op.qubit_a, op.qubit_b) for op in swaps(p)] == [(0, 14)]
+        and p.final_placement[0][0] == 14
+        and p.final_placement[4][6] == 0
+        and all(gate_zone(p, i) == 4 for i in range(1, 6)),
+        id="swap-migrates-star-hub",
+    ),
+    pytest.param(
+        two_modules_cap8, star(16, range(8, 14)), SPLIT_8, TRIVIAL,
+        lambda p: not swaps(p) and p.metadata["inserted_swaps"] == 0,
+        id="swap-disabled-by-config",
+    ),
+    pytest.param(
+        # Weight 3 equals the threshold, so idle qubit 8 is not swapped in.
+        two_modules_cap8, star(9, range(4, 8)), {0: (0, 1, 2, 3), 4: (4, 5, 6, 7, 8)},
+        replace(SWAP_INSERT, swap_threshold=3),
+        lambda p: not swaps(p),
+        id="swap-needs-weight-above-threshold",
+    ),
+    pytest.param(
+        two_modules_cap8, star(16, range(8, 13)), SPLIT_8,
+        replace(SWAP_INSERT, swap_threshold=3, lookahead_k=3),
+        lambda p: not swaps(p),
+        id="swap-weight-counts-k-layers-k3",
+    ),
+    pytest.param(
+        two_modules_cap8, star(16, range(8, 13)), SPLIT_8,
+        replace(SWAP_INSERT, swap_threshold=3, lookahead_k=4),
+        lambda p: len(swaps(p)) == 1,
+        id="swap-weight-counts-k-layers-k4",
+    ),
+    pytest.param(
+        two_modules_cap8, cx_circuit(16, (0, 8), (0, 1), *((0, q) for q in range(9, 14))),
+        SPLIT_8, SWAP_INSERT,
+        lambda p: not swaps(p),
+        id="no-swap-while-needed-at-home",
+    ),
+    pytest.param(
+        two_modules, cx_circuit(9, (0, 4), (0, 5), (0, 6), (0, 7), (0, 5), (8, 4)),
+        {0: (0, 1, 2, 3), 4: (4, 5, 6, 7), 5: (8,)},
+        replace(SWAP_INSERT, swap_threshold=3),
+        lambda p: not swaps(p),
+        id="no-swap-without-idle-partner",
+    ),
+    pytest.param(
+        two_modules, cx_circuit(9, (0, 4), (0, 5), (0, 6), (0, 7), (0, 5)),
+        {0: (0, 1, 2, 3), 4: (4, 5, 6, 7), 5: (8,)},
+        replace(SWAP_INSERT, swap_threshold=3),
+        lambda p: [(op.qubit_a, op.qubit_b) for op in swaps(p)] == [(0, 8)],
+        id="swap-with-idle-partner",
+    ),
+]
+
+
+class TestSchedulingScenarios:
+    @pytest.mark.parametrize(
+        ("machine", "circuit", "placement", "config", "outcome"), SCENARIOS
+    )
+    def test_scenario(self, machine, circuit, placement, config, outcome):
+        program = MussTiCompiler(config).compile(
+            circuit, machine(), initial_placement=placement
+        )
+        verify_program(program)
+        assert outcome(program)
+        reference = reference_compile(
+            circuit, machine(), config, initial_placement=placement
+        )
+        assert program.operations == reference.operations
+        assert program.final_placement == reference.final_placement
+        assert program.metadata == reference.metadata
+
+    def test_full_module_raises_like_reference(self):
+        """Slack is best effort, but a hard need with no free slot raises."""
+        circuit = cx_circuit(17, (12, 16))
+        placement = {
+            0: (0, 1, 2, 3), 1: (4, 5, 6, 7), 2: (8, 9, 10, 11),
+            3: (12, 13, 14, 15), 4: (16,),
+        }
+        config = replace(TRIVIAL, optical_slack=8)
+        with pytest.raises(RoutingError, match="no free space"):
+            MussTiCompiler(config).compile(
+                circuit, two_modules(), initial_placement=placement
+            )
+        with pytest.raises(RefRoutingError, match="no free space"):
+            reference_compile(circuit, two_modules(), config, initial_placement=placement)

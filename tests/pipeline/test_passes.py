@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import MussTiCompiler, MussTiConfig
+from repro.circuits import GateError, QuantumCircuit
+from repro.core import MussTiCompiler, MussTiConfig, RoutingError
 from repro.pipeline import (
     CompileResult,
-    NoSwapInsertion,
     PassPipeline,
     PipelineError,
     SabrePlacementPass,
     SchedulingPass,
     TrivialPlacementPass,
     ValidateNativePass,
-    WeightTableSwapInsertion,
     build_muss_ti_pipeline,
 )
 from repro.sim import verify_program
@@ -32,14 +31,14 @@ class TestBuildMussTiPipeline:
     def test_full_arm_stages(self):
         pipeline = build_muss_ti_pipeline(MussTiConfig.full())
         assert pipeline.describe() == "validate-native -> placement-sabre -> schedule"
-        assert isinstance(pipeline.passes[2].swap_policy, WeightTableSwapInsertion)
+        assert pipeline.passes[2].config.use_swap_insertion
 
     def test_trivial_arm_stages(self):
         pipeline = build_muss_ti_pipeline(MussTiConfig.trivial())
         assert (
             pipeline.describe() == "validate-native -> placement-trivial -> schedule"
         )
-        assert isinstance(pipeline.passes[2].swap_policy, NoSwapInsertion)
+        assert not pipeline.passes[2].config.use_swap_insertion
 
     def test_every_arm_maps_to_matching_variant(self):
         for label, arm in ARM_CONFIGS.items():
@@ -87,7 +86,7 @@ class TestSeedEquivalence:
             passes=(
                 ValidateNativePass(),
                 SabrePlacementPass(config),
-                SchedulingPass(config, WeightTableSwapInsertion(config)),
+                SchedulingPass(config),
             ),
             config=config,
         ).compile(circuit, small_grid_2x2)
@@ -137,8 +136,6 @@ class TestCompileResult:
 
 class TestPlacementPasses:
     def test_caller_placement_wins(self, tiny_grid):
-        from repro.circuits import QuantumCircuit
-
         circuit = QuantumCircuit(4)
         circuit.cx(0, 1)
         placement = {0: (0, 1), 1: (2, 3)}
@@ -149,8 +146,6 @@ class TestPlacementPasses:
         assert any("placement" in note for note in result.diagnostics)
 
     def test_initial_placement_keeps_class_api_semantics(self, tiny_grid):
-        from repro.circuits import QuantumCircuit
-
         circuit = QuantumCircuit(4)
         circuit.cx(0, 3)
         placement = {0: (0, 1), 1: (2, 3)}
@@ -177,12 +172,56 @@ class TestPipelineErrors:
             pipeline.compile(bell_pair, tiny_grid)
 
     def test_unlowered_circuit_rejected(self, tiny_grid):
-        from repro.circuits import QuantumCircuit
-
         circuit = QuantumCircuit(3)
         circuit.ccx(0, 1, 2)
-        with pytest.raises(Exception, match="lower_to_native"):
-            build_muss_ti_pipeline().compile(circuit, tiny_grid)
+        without_validation = PassPipeline(
+            name="unvalidated",
+            passes=(TrivialPlacementPass(), SchedulingPass(MussTiConfig())),
+        )
+        # The scheduler itself rejects a wide gate that no
+        # ValidateNativePass caught.
+        for pipeline in (build_muss_ti_pipeline(), without_validation):
+            with pytest.raises(GateError, match="lower_to_native"):
+                pipeline.compile(circuit, tiny_grid)
+
+    @pytest.mark.parametrize(
+        ("placement", "message"),
+        [
+            pytest.param(
+                {0: (0, 1), 1: (1, 2, 3, 4)}, "qubit 1 placed twice",
+                id="qubit-placed-twice",
+            ),
+            pytest.param(
+                {0: (0, 1), 1: (2, 4)}, r"initial_placement: 1 of .* never placed \(3\)",
+                id="missing-qubit",
+            ),
+            pytest.param(
+                {0: (0, 1), 1: (2, 3, -1), 2: (4,)}, "initial_placement: zone 1 holds qubit -1",
+                id="negative-qubit",
+            ),
+            pytest.param(
+                {0: (0, 1), 99: (2, 3, 4)}, "initial_placement: zone 99 is not a zone id",
+                id="unknown-zone",
+            ),
+            pytest.param(
+                {0: (0, 1), "1": (2, 3, 4)}, "initial_placement: zone '1' is not a zone id",
+                id="zone-not-an-int",
+            ),
+            pytest.param(
+                {0: (0, 1), 1: (2, 3, 4), 2: (5,)}, "initial_placement: zone 2 holds qubit 5",
+                id="qubit-not-in-circuit",
+            ),
+            pytest.param(
+                {0: (0, 1, 2, 3, 4)}, "initial_placement: zone 0 holds 5 qubits but has capacity 4",
+                id="chain-over-capacity",
+            ),
+        ],
+    )
+    def test_malformed_placement_rejected(self, tiny_grid, placement, message):
+        circuit = QuantumCircuit(5)
+        circuit.cx(0, 4)
+        with pytest.raises(RoutingError, match=message):
+            MussTiCompiler().compile(circuit, tiny_grid, initial_placement=placement)
 
 
 class TestCustomComposition:
@@ -212,53 +251,3 @@ class TestCustomComposition:
         )
         assert result.compiler_name == "fifo"
         result.verify()
-
-    def test_explicit_weight_table_policy_always_active(self, two_tight_modules):
-        """Injecting the policy is the decision: a config built for another
-        arm must not silently disable it."""
-        from repro.circuits import QuantumCircuit
-        from repro.sim import SwapGateOp
-
-        circuit = QuantumCircuit(16)
-        for partner in range(8, 16):
-            circuit.cx(0, partner)  # the Fig 5 star: q0 should migrate
-        config = MussTiConfig.trivial()  # use_swap_insertion=False
-        pipeline = PassPipeline(
-            name="probe",
-            passes=(
-                ValidateNativePass(),
-                TrivialPlacementPass(),
-                SchedulingPass(config, WeightTableSwapInsertion(config)),
-            ),
-        )
-        result = pipeline.compile(circuit, two_tight_modules)
-        assert any(
-            isinstance(op, SwapGateOp) for op in result.program.operations
-        )
-
-    def test_swap_policy_protocol_accepts_custom_policy(self, two_tight_modules):
-        from repro.circuits import QuantumCircuit
-
-        calls = []
-
-        class CountingPolicy:
-            name = "counting"
-
-            def after_fiber_gate(self, state, dag, gate):
-                calls.append(gate)
-                return 0
-
-        circuit = QuantumCircuit(10)
-        circuit.cx(0, 9)
-        config = MussTiConfig.trivial()
-        pipeline = PassPipeline(
-            name="probe",
-            passes=(
-                ValidateNativePass(),
-                TrivialPlacementPass(),
-                SchedulingPass(config, CountingPolicy()),
-            ),
-        )
-        result = pipeline.compile(circuit, two_tight_modules)
-        result.verify()
-        assert len(calls) == 1  # exactly one cross-module gate fired
