@@ -12,6 +12,7 @@ dedicated CI job runs them.
 
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -36,13 +37,23 @@ def sweep_once(benchmark):
     Benchmarks must measure the real cost of every cell, so the on-disk
     result cache is disabled; the engine still provides the cell
     decomposition and row assembly the production runner uses.
+
+    Objects left alive by earlier tests are frozen out of the garbage
+    collector for the run: otherwise a full collection over that foreign
+    heap can land inside one cell's timed compile (~0.1 s after the whole
+    tier-1 suite, several times a millisecond-scale cell's own cost).
     """
 
     def runner(experiment: str, **kwargs):
         kwargs.setdefault("use_cache", False)
-        result = benchmark.pedantic(
-            sweep, args=(experiment,), kwargs=kwargs, rounds=1, iterations=1
-        )
+        gc.collect()
+        gc.freeze()
+        try:
+            result = benchmark.pedantic(
+                sweep, args=(experiment,), kwargs=kwargs, rounds=1, iterations=1
+            )
+        finally:
+            gc.unfreeze()
         return result.rows
 
     return runner

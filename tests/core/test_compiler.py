@@ -6,15 +6,30 @@ from dataclasses import replace
 
 import pytest
 from differential.reference import RefRoutingError, reference_compile
+from scheduling_scenarios import (
+    NO_SLACK,
+    SPLIT_8,
+    SWAP_INSERT,
+    TRIVIAL,
+    compile_pinned,
+    cx_circuit,
+    dual_optical,
+    evicted_before,
+    gate_zone,
+    merges,
+    one_module,
+    star,
+    swap_pairs,
+    swaps,
+    two_modules,
+    two_modules_cap8,
+)
 
 from repro.circuits import QuantumCircuit
 from repro.core import MussTiCompiler, MussTiConfig, RoutingError
-from repro.hardware import EMLQCCDMachine, ModuleLayout
 from repro.sim import (
     FiberGateOp,
     GateOp,
-    MergeOp,
-    SplitOp,
     SwapGateOp,
     execute,
     verify_program,
@@ -197,80 +212,11 @@ class TestPaperScaleBehaviour:
 
 # ---------------------------------------------------------------------------
 # Routing and SWAP-insertion scenarios, each compiled from an explicit
-# placement and pinned byte-for-byte against the frozen seed scheduler.
-#
-# Zone ids of the EML machines below: module 0 holds optical 0 (level 2),
-# operation 1 (level 1) and storage 2, 3 (level 0); module 1 holds optical 4,
-# operation 5 and storage 6, 7.  The dual-optical layout puts module 0's
-# optical zones at 0 and 1, its storage at 3 and 4, and module 1's first
-# optical zone at 5.
+# placement and pinned byte-for-byte against the frozen seed scheduler (zone
+# ids are listed in scheduling_scenarios).  Inputs checked from more than one
+# angle live in test_routing, test_state and test_swap_insertion.
 # ---------------------------------------------------------------------------
 
-
-def one_module():
-    return EMLQCCDMachine(num_modules=1, trap_capacity=4)
-
-
-def two_modules():
-    return EMLQCCDMachine(num_modules=2, trap_capacity=4)
-
-
-def two_modules_cap8():
-    return EMLQCCDMachine(num_modules=2, trap_capacity=8)
-
-
-def dual_optical():
-    return EMLQCCDMachine(
-        num_modules=2, trap_capacity=4, layout=ModuleLayout(num_optical=2)
-    )
-
-
-def cx_circuit(num_qubits, *pairs):
-    circuit = QuantumCircuit(num_qubits)
-    for qubit_a, qubit_b in pairs:
-        circuit.cx(qubit_a, qubit_b)
-    return circuit
-
-
-def star(num_qubits, partners):
-    """Qubit 0 interacts with each partner in turn (Fig 5's hub)."""
-    return cx_circuit(num_qubits, *((0, partner) for partner in partners))
-
-
-def gate_zone(program, index):
-    """Zone (or fiber zone pair) where circuit gate ``index`` fired."""
-    for op in program.operations:
-        if isinstance(op, GateOp) and op.circuit_index == index:
-            return op.zone
-        if isinstance(op, FiberGateOp) and op.circuit_index == index:
-            return (op.zone_a, op.zone_b)
-    raise AssertionError(f"gate {index} never fired")
-
-
-def merges(program):
-    return [(op.qubit, op.zone) for op in program.operations if isinstance(op, MergeOp)]
-
-
-def evicted_before(program, index):
-    """Qubits shuttled out of the way before gate ``index`` fired."""
-    operands = set(program.circuit[index].qubits)
-    evicted = []
-    for op in program.operations:
-        if isinstance(op, (GateOp, FiberGateOp)) and op.circuit_index == index:
-            return evicted
-        if isinstance(op, MergeOp) and op.qubit not in operands:
-            evicted.append(op.qubit)
-    raise AssertionError(f"gate {index} never fired")
-
-
-def swaps(program):
-    return [op for op in program.operations if isinstance(op, SwapGateOp)]
-
-
-TRIVIAL = MussTiConfig.trivial()
-NO_SLACK = replace(TRIVIAL, optical_slack=0)
-SWAP_INSERT = MussTiConfig.swap_insert_only()
-SPLIT_8 = {0: tuple(range(8)), 4: tuple(range(8, 16))}
 
 SCENARIOS = [
     # -- local routing: zone choice (§3.2) --------------------------------
@@ -278,16 +224,6 @@ SCENARIOS = [
         one_module, cx_circuit(2, (0, 1)), {0: (0,), 1: (1,)}, TRIVIAL,
         lambda p: gate_zone(p, 0) == 0 and merges(p) == [(1, 0)],
         id="local-tie-goes-to-higher-level",
-    ),
-    pytest.param(
-        one_module, cx_circuit(2, (0, 1)), {0: (0,), 2: (1,)}, TRIVIAL,
-        lambda p: merges(p) == [(1, 0)] and p.metadata["evictions"] == 0,
-        id="local-joins-operand-with-room",
-    ),
-    pytest.param(
-        one_module, cx_circuit(2, (0, 1)), {2: (0, 1)}, TRIVIAL,
-        lambda p: gate_zone(p, 0) == 1 and merges(p) == [(0, 1), (1, 1)],
-        id="local-never-fires-in-storage",
     ),
     pytest.param(
         one_module, cx_circuit(6, (0, 1)), {0: (2, 3, 4, 5), 1: (0,), 2: (1,)},
@@ -300,14 +236,6 @@ SCENARIOS = [
         TRIVIAL,
         lambda p: gate_zone(p, 0) == 1,
         id="local-partner-census-breaks-tie",
-    ),
-    pytest.param(
-        one_module, cx_circuit(9, (0, 1)), {0: (0, 2, 3, 4), 1: (5, 6, 7, 8), 2: (1,)},
-        TRIVIAL,
-        lambda p: gate_zone(p, 0) == 0
-        and evicted_before(p, 0) == [2]
-        and not any(isinstance(op, SplitOp) and op.qubit == 0 for op in p.operations),
-        id="local-eviction-spares-operand",
     ),
     # -- conflict handling: LRU eviction and optical slack -----------------
     pytest.param(
@@ -327,12 +255,6 @@ SCENARIOS = [
         replace(NO_SLACK, use_lru=False),
         lambda p: evicted_before(p, 1) == [3],
         id="fifo-evicts-chain-head",
-    ),
-    pytest.param(
-        two_modules, cx_circuit(6, (0, 1), (4, 5), (2, 5)),
-        {0: (0, 1, 2, 3), 2: (4,), 4: (5,)}, NO_SLACK,
-        lambda p: evicted_before(p, 1) == [3],
-        id="lru-spares-window-qubits",
     ),
     pytest.param(
         two_modules, cx_circuit(10, (8, 9)),
@@ -366,26 +288,11 @@ SCENARIOS = [
         id="fiber-in-place",
     ),
     pytest.param(
-        two_modules, cx_circuit(2, (0, 1)), {2: (0,), 6: (1,)}, TRIVIAL,
-        lambda p: gate_zone(p, 0) == (0, 4) and merges(p) == [(0, 0), (1, 4)],
-        id="fiber-pulls-both-from-storage",
-    ),
-    pytest.param(
         dual_optical, cx_circuit(5, (0, 4)), {0: (1, 2, 3), 3: (0,), 5: (4,)}, TRIVIAL,
         lambda p: gate_zone(p, 0) == (1, 5),
         id="fiber-balances-optical-zones",
     ),
     # -- §3.3 SWAP insertion ------------------------------------------------
-    pytest.param(
-        two_modules_cap8, star(16, range(8, 14)), SPLIT_8, SWAP_INSERT,
-        # Partner 14 has no gate with qubit 0; the SWAP relabels the two
-        # chain slots, and the hub's remaining gates run locally.
-        lambda p: [(op.qubit_a, op.qubit_b) for op in swaps(p)] == [(0, 14)]
-        and p.final_placement[0][0] == 14
-        and p.final_placement[4][6] == 0
-        and all(gate_zone(p, i) == 4 for i in range(1, 6)),
-        id="swap-migrates-star-hub",
-    ),
     pytest.param(
         two_modules_cap8, star(16, range(8, 14)), SPLIT_8, TRIVIAL,
         lambda p: not swaps(p) and p.metadata["inserted_swaps"] == 0,
@@ -427,7 +334,7 @@ SCENARIOS = [
         two_modules, cx_circuit(9, (0, 4), (0, 5), (0, 6), (0, 7), (0, 5)),
         {0: (0, 1, 2, 3), 4: (4, 5, 6, 7), 5: (8,)},
         replace(SWAP_INSERT, swap_threshold=3),
-        lambda p: [(op.qubit_a, op.qubit_b) for op in swaps(p)] == [(0, 8)],
+        lambda p: swap_pairs(p) == [(0, 8)],
         id="swap-with-idle-partner",
     ),
 ]
@@ -438,17 +345,8 @@ class TestSchedulingScenarios:
         ("machine", "circuit", "placement", "config", "outcome"), SCENARIOS
     )
     def test_scenario(self, machine, circuit, placement, config, outcome):
-        program = MussTiCompiler(config).compile(
-            circuit, machine(), initial_placement=placement
-        )
-        verify_program(program)
+        program = compile_pinned(machine, circuit, placement, config)
         assert outcome(program)
-        reference = reference_compile(
-            circuit, machine(), config, initial_placement=placement
-        )
-        assert program.operations == reference.operations
-        assert program.final_placement == reference.final_placement
-        assert program.metadata == reference.metadata
 
     def test_full_module_raises_like_reference(self):
         """Slack is best effort, but a hard need with no free slot raises."""

@@ -1,242 +1,76 @@
-"""Routing policy tests: zone choice, conflict handling, slack."""
+"""Routing policy tests (§3.2): zone choice, conflict handling, fiber routing.
+
+Each case compiles end to end from an explicit placement and is pinned
+byte-for-byte against the frozen seed scheduler; zone ids are listed in
+``scheduling_scenarios``.
+"""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core import (
-    MachineState,
-    RoutingError,
-    choose_local_zone,
-    choose_optical_zone,
-    make_room,
-    route_fiber_gate,
-    route_local_gate,
-    route_to_optical,
+from scheduling_scenarios import (
+    FIBER_FROM_STORAGE,
+    FULL_GATE_ZONES,
+    OPERAND_WITH_ROOM,
+    STORAGE_PAIR,
+    compile_pinned,
+    evicted_before,
+    gate_zone,
+    merges,
+    one_module,
+    two_modules,
 )
-from repro.hardware import ZoneKind
-from repro.sim import MoveOp
-
-
-def zone_ids_by_kind(machine, module_id=0):
-    return {
-        kind: [
-            z.zone_id
-            for z in machine.zones_in_module(module_id)
-            if z.kind is kind
-        ]
-        for kind in ZoneKind
-    }
 
 
 class TestChooseLocalZone:
-    def test_prefers_zone_with_one_operand(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        optical, operation = zones[ZoneKind.OPTICAL][0], zones[ZoneKind.OPERATION][0]
-        state = MachineState(one_module, {optical: (0,), operation: (1,)})
-        # Both candidates need one move; tie broken toward higher level.
-        assert choose_local_zone(state, 0, 1) == optical
-
-    def test_never_chooses_storage(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        storage = zones[ZoneKind.STORAGE][0]
-        state = MachineState(one_module, {storage: (0, 1)})
-        chosen = choose_local_zone(state, 0, 1)
-        assert one_module.zone(chosen).allows_gates
-
-    def test_avoids_full_zone_when_alternative_exists(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        optical = zones[ZoneKind.OPTICAL][0]
-        operation = zones[ZoneKind.OPERATION][0]
-        storage = zones[ZoneKind.STORAGE][0]
-        # Optical is full of other ions; operand 1 sits in storage.
-        state = MachineState(
-            one_module, {optical: (2, 3, 4, 5), operation: (0,), storage: (1,)}
-        )
-        assert choose_local_zone(state, 0, 1) == operation
-
-    def test_future_census_breaks_ties(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        optical = zones[ZoneKind.OPTICAL][0]
-        operation = zones[ZoneKind.OPERATION][0]
-        state = MachineState(one_module, {optical: (0,), operation: (1, 2, 3)})
-        # Upcoming partners of qubit 0/1 live in the operation zone.
-        census = {operation: 3}
-        assert choose_local_zone(state, 0, 1, census) == operation
-
-    def test_different_modules_rejected(self, two_modules):
-        optical0 = two_modules.optical_zones(0)[0].zone_id
-        optical1 = two_modules.optical_zones(1)[0].zone_id
-        state = MachineState(two_modules, {optical0: (0,), optical1: (1,)})
-        with pytest.raises(RoutingError, match="different modules"):
-            choose_local_zone(state, 0, 1)
+    def test_never_chooses_storage(self):
+        program = compile_pinned(*STORAGE_PAIR)
+        machine = one_module()
+        assert not machine.zone(2).allows_gates
+        assert machine.zone(gate_zone(program, 0)).allows_gates
 
 
 class TestMakeRoom:
-    def test_noop_when_space_exists(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        optical = zones[ZoneKind.OPTICAL][0]
-        state = MachineState(one_module, {optical: (0, 1)})
-        make_room(state, optical, 2, frozenset())
-        assert state.operations == []
-
-    def test_evicts_lru_to_lower_level(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        optical = zones[ZoneKind.OPTICAL][0]
-        operation = zones[ZoneKind.OPERATION][0]
-        state = MachineState(one_module, {optical: (0, 1, 2, 3)})
-        state.touch(0), state.touch(1), state.touch(2)  # qubit 3 is LRU
-        make_room(state, optical, 1, frozenset())
-        assert state.zone_of(3) == operation  # level 2 -> level 1
-        assert state.free_space(optical) == 1
-        assert state.stats["evictions"] == 1
-
-    def test_cascade_to_storage_when_operation_full(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        optical = zones[ZoneKind.OPTICAL][0]
-        operation = zones[ZoneKind.OPERATION][0]
-        state = MachineState(
-            one_module,
-            {optical: (0, 1, 2, 3), operation: (4, 5, 6, 7)},
-        )
-        make_room(state, optical, 1, frozenset())
-        evicted_zone = state.zone_of(state.chains[optical][0]) if False else None
-        storage_ids = zones[ZoneKind.STORAGE]
-        moved = [op for op in state.operations if isinstance(op, MoveOp)]
-        assert moved[0].destination_zone in storage_ids
-
-    def test_slack_batches_evictions(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        optical = zones[ZoneKind.OPTICAL][0]
-        state = MachineState(one_module, {optical: (0, 1, 2, 3)})
-        make_room(state, optical, 1, frozenset(), slack=2)
-        assert state.free_space(optical) == 3  # needed 1 + slack 2
-
-    def test_slack_never_evicts_future_qubits(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        optical = zones[ZoneKind.OPTICAL][0]
-        state = MachineState(one_module, {optical: (0, 1, 2, 3)})
-        make_room(
-            state,
-            optical,
-            1,
-            frozenset(),
-            future_qubits=frozenset({0, 1, 2, 3}),
-            slack=3,
-        )
-        # Hard need satisfied (one evicted), slack stopped at future qubits.
-        assert state.free_space(optical) == 1
-
-    def test_fifo_mode(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        optical = zones[ZoneKind.OPTICAL][0]
-        state = MachineState(one_module, {optical: (3, 0, 1, 2)})
-        state.touch(3)  # FIFO ignores recency: head (3) still goes first
-        make_room(state, optical, 1, frozenset(), use_lru=False)
-        assert 3 not in state.chains[optical]
-
-    def test_slack_stops_when_module_headroom_runs_out(self, one_module):
-        """Regression: slack larger than the module's free space must stop
-        gracefully once the hard need is met, not raise (hypothesis-found)."""
-        zones = zone_ids_by_kind(one_module)
-        optical = zones[ZoneKind.OPTICAL][0]
-        operation = zones[ZoneKind.OPERATION][0]
-        storage_a, storage_b = zones[ZoneKind.STORAGE]
-        state = MachineState(
-            one_module,
-            {
-                optical: (0, 1, 2, 3),
-                operation: (4, 5, 6, 7),
-                storage_a: (8, 9, 10, 11),
-                storage_b: (12, 13, 14),  # exactly one free slot in module
-            },
-        )
-        make_room(state, optical, 1, frozenset(), slack=8)
-        assert state.free_space(optical) >= 1
-
-    def test_slack_insufficient_hard_need_still_raises(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        optical = zones[ZoneKind.OPTICAL][0]
-        operation = zones[ZoneKind.OPERATION][0]
-        storage_a, storage_b = zones[ZoneKind.STORAGE]
-        state = MachineState(
-            one_module,
-            {
-                optical: (0, 1, 2, 3),
-                operation: (4, 5, 6, 7),
-                storage_a: (8, 9, 10, 11),
-                storage_b: (12, 13, 14, 15),  # module completely full
-            },
-        )
-        with pytest.raises(RoutingError, match="no free space"):
-            make_room(state, optical, 1, frozenset(), slack=8)
+    def test_noop_when_space_exists(self):
+        program = compile_pinned(*OPERAND_WITH_ROOM)
+        assert evicted_before(program, 0) == []
+        assert program.metadata["evictions"] == 0
 
 
 class TestRouteLocalGate:
-    def test_colocates_operands(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        optical = zones[ZoneKind.OPTICAL][0]
-        storage = zones[ZoneKind.STORAGE][0]
-        state = MachineState(one_module, {optical: (0,), storage: (1,)})
-        target = route_local_gate(state, 0, 1)
-        assert state.zone_of(0) == state.zone_of(1) == target
-        assert one_module.zone(target).allows_gates
+    def test_colocates_operands(self):
+        """Operand 1 joins operand 0 in the optical zone, which has room."""
+        program = compile_pinned(*OPERAND_WITH_ROOM)
+        assert merges(program) == [(1, 0)]
+        assert gate_zone(program, 0) == 0
+        assert program.final_placement == {0: (0, 1)}
 
-    def test_storage_pair_moves_to_gate_zone(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        storage = zones[ZoneKind.STORAGE][0]
-        state = MachineState(one_module, {storage: (0, 1)})
-        target = route_local_gate(state, 0, 1)
-        assert one_module.zone(target).allows_gates
-        assert state.co_located(0, 1)
+    def test_storage_pair_moves_to_gate_zone(self):
+        """Both operands leave storage for the operation zone (level 1)."""
+        program = compile_pinned(*STORAGE_PAIR)
+        assert merges(program) == [(0, 1), (1, 1)]
+        assert gate_zone(program, 0) == 1
 
-    def test_eviction_on_full_module(self, one_module):
-        zones = zone_ids_by_kind(one_module)
-        optical = zones[ZoneKind.OPTICAL][0]
-        operation = zones[ZoneKind.OPERATION][0]
-        storage = zones[ZoneKind.STORAGE][0]
-        state = MachineState(
-            one_module,
-            {optical: (0, 2, 3, 4), operation: (5, 6, 7, 8), storage: (1,)},
-        )
-        route_local_gate(state, 0, 1)
-        assert state.co_located(0, 1)
+    def test_eviction_on_full_module(self):
+        """Both gate zones are full: a bystander is evicted to admit qubit 1."""
+        program = compile_pinned(*FULL_GATE_ZONES)
+        assert evicted_before(program, 0) == [2]
+        assert gate_zone(program, 0) == 0
+        assert program.metadata["evictions"] == 1
 
 
 class TestOpticalRouting:
-    def test_already_in_optical_is_noop(self, two_modules):
-        optical0 = two_modules.optical_zones(0)[0].zone_id
-        state = MachineState(two_modules, {optical0: (0,)})
-        assert route_to_optical(state, 0) == optical0
-        assert state.operations == []
+    def test_moves_from_storage(self):
+        program = compile_pinned(*FIBER_FROM_STORAGE)
+        machine = two_modules()
+        first_qubit, first_zone = merges(program)[0]
+        assert first_qubit == 0
+        assert machine.zone(first_zone).allows_fiber
 
-    def test_moves_from_storage(self, two_modules):
-        storage = two_modules.storage_zones(0)[0].zone_id
-        optical0 = two_modules.optical_zones(0)[0].zone_id
-        state = MachineState(two_modules, {storage: (0,)})
-        assert route_to_optical(state, 0) == optical0
-
-    def test_balances_two_optical_zones(self, dual_optical_module):
-        opticals = [z.zone_id for z in dual_optical_module.optical_zones(0)]
-        storage = dual_optical_module.storage_zones(0)[0].zone_id
-        state = MachineState(
-            dual_optical_module, {opticals[0]: (1, 2, 3), storage: (0,)}
-        )
-        # The second (emptier) optical zone wins.
-        assert choose_optical_zone(state, 0) == opticals[1]
-
-    def test_route_fiber_gate(self, two_modules):
-        storage0 = two_modules.storage_zones(0)[0].zone_id
-        storage1 = two_modules.storage_zones(1)[0].zone_id
-        state = MachineState(two_modules, {storage0: (0,), storage1: (1,)})
-        zone_a, zone_b = route_fiber_gate(state, 0, 1)
-        assert two_modules.zone(zone_a).allows_fiber
-        assert two_modules.zone(zone_b).allows_fiber
-        assert state.zone_of(0) == zone_a
-        assert state.zone_of(1) == zone_b
-
-    def test_fiber_gate_same_module_rejected(self, two_modules):
-        storage0 = two_modules.storage_zones(0)[0].zone_id
-        state = MachineState(two_modules, {storage0: (0, 1)})
-        with pytest.raises(RoutingError, match="share a module"):
-            route_fiber_gate(state, 0, 1)
+    def test_route_fiber_gate(self):
+        program = compile_pinned(*FIBER_FROM_STORAGE)
+        machine = two_modules()
+        zone_a, zone_b = gate_zone(program, 0)
+        assert (zone_a, zone_b) == (0, 4)
+        assert machine.zone(zone_a).allows_fiber
+        assert machine.zone(zone_b).allows_fiber
+        assert program.final_placement == {0: (0,), 4: (1,)}

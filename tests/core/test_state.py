@@ -1,8 +1,20 @@
-"""Machine-state tests: chains, shuttles, LRU bookkeeping."""
+"""Machine-state tests: chains, shuttles, LRU bookkeeping.
+
+Eviction choice and SWAP relabelling happen inside the array core, so those
+cases compile end to end (see ``scheduling_scenarios``).
+"""
 
 from __future__ import annotations
 
 import pytest
+from scheduling_scenarios import (
+    FULL_GATE_ZONES,
+    STAR_HUB,
+    WINDOW_QUBIT_IN_FULL_ZONE,
+    compile_pinned,
+    evicted_before,
+    splits,
+)
 
 from repro.core import MachineState, RoutingError
 from repro.sim import ChainSwapOp, MergeOp, MoveOp, SplitOp
@@ -73,8 +85,22 @@ class TestLru:
         state = MachineState(tiny_grid, {0: (2, 0, 1)})
         assert state.fifo_victim(0, frozenset()) == 2
         assert state.fifo_victim(0, frozenset({2})) == 0
+
+    def test_all_protected_raises(self, tiny_grid):
+        state = MachineState(tiny_grid, {0: (0,)})
         with pytest.raises(RoutingError, match="evictable"):
-            state.fifo_victim(0, frozenset({0, 1, 2}))
+            state.fifo_victim(0, frozenset({0}))
+
+    def test_protected_qubits_skipped(self):
+        """Operand 0 heads a chain of equally idle ions, yet is not evicted."""
+        program = compile_pinned(*FULL_GATE_ZONES)
+        assert evicted_before(program, 0) == [2]
+        assert splits(program, 0) == []
+
+    def test_future_qubits_spared(self):
+        """Qubit 2 precedes 3 in the chain but has a gate in the window."""
+        program = compile_pinned(*WINDOW_QUBIT_IN_FULL_ZONE)
+        assert evicted_before(program, 1) == [3]
 
 
 class TestGateEmission:
@@ -87,6 +113,13 @@ class TestGateEmission:
         state = MachineState(tiny_grid, {0: (0,), 1: (1,)})
         with pytest.raises(RoutingError, match="not co-located"):
             state.emit_local_gate(bell_pair[1], 1)
+
+    def test_swap_gate_relabels_chains(self):
+        """An inserted SWAP trades the two qubits' chain slots in place."""
+        program = compile_pinned(*STAR_HUB)
+        assert program.metadata["inserted_swaps"] == 1
+        assert program.final_placement[0] == (14, 1, 2, 3, 4, 5, 6, 7)
+        assert program.final_placement[4] == (8, 9, 10, 11, 12, 13, 0, 15)
 
     def test_final_placement_snapshot(self, tiny_grid):
         state = MachineState(tiny_grid, {0: (0, 1)})

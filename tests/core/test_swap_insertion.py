@@ -1,174 +1,69 @@
-"""SWAP-insertion tests: weight table and the §3.3 trigger rule."""
+"""SWAP-insertion tests (§3.3): the weight-table trigger rule and its config.
+
+The rule runs inside the array core, so each case compiles end to end from an
+explicit placement and is pinned byte-for-byte against the frozen seed
+scheduler (see ``scheduling_scenarios``).
+"""
 
 from __future__ import annotations
 
 import pytest
+from scheduling_scenarios import (
+    SPLIT_8,
+    STAR_HUB,
+    SWAP_INSERT,
+    WINDOW_QUBIT_IN_FULL_ZONE,
+    compile_pinned,
+    gate_zone,
+    splits,
+    star,
+    swap_pairs,
+    two_modules_cap8,
+)
 
-from repro.circuits import DependencyGraph, QuantumCircuit
-from repro.core import MachineState, MussTiConfig, WeightTable, maybe_insert_swaps
-from repro.sim import SwapGateOp
-
-
-def cross_module_state(machine, per_module=4):
-    """Place qubits 0..per_module-1 on module 0, the rest on module 1."""
-    optical0 = machine.optical_zones(0)[0].zone_id
-    optical1 = machine.optical_zones(1)[0].zone_id
-    placement = {
-        optical0: tuple(range(per_module)),
-        optical1: tuple(range(per_module, 2 * per_module)),
-    }
-    return MachineState(machine, placement)
+from repro.core import MussTiConfig
 
 
 class TestWeightTable:
-    def test_counts_partner_modules(self, two_modules):
-        circuit = QuantumCircuit(8)
-        circuit.cx(0, 4)  # 0 on m0, 4 on m1
-        circuit.cx(0, 5)
-        circuit.cx(0, 1)
-        state = cross_module_state(two_modules)
-        table = WeightTable(DependencyGraph(circuit), state, k=8)
-        assert table.weight(0, 1) == 2  # two partners on module 1
-        assert table.weight(0, 0) == 1  # one partner on module 0
-        assert table.weight(4, 0) == 1
+    def test_total_and_partner_count(self):
+        """Among idle candidates the SWAP takes one with no window gates."""
+        busy_14 = star(16, range(8, 14))
+        busy_14.cx(1, 14)
+        busy_15 = star(16, range(8, 14))
+        busy_15.cx(2, 15)
+        picked = [
+            swap_pairs(compile_pinned(two_modules_cap8, circuit, SPLIT_8, SWAP_INSERT))
+            for circuit in (busy_14, busy_15)
+        ]
+        assert picked == [[(0, 15)], [(0, 14)]]
 
-    def test_respects_layer_window(self, two_modules):
-        circuit = QuantumCircuit(8)
-        for _ in range(10):
-            circuit.cx(0, 4)  # a serial chain: one gate per layer
-        state = cross_module_state(two_modules)
-        table = WeightTable(DependencyGraph(circuit), state, k=3)
-        assert table.weight(0, 1) == 3  # only the first 3 layers
-
-    def test_total_and_partner_count(self, two_modules):
-        circuit = QuantumCircuit(8)
-        circuit.cx(0, 4).cx(0, 4).cx(2, 3)
-        state = cross_module_state(two_modules)
-        table = WeightTable(DependencyGraph(circuit), state, k=8)
-        assert table.total(0) == 2
-        assert table.partner_count(0, 4) == 2
-        assert table.partner_count(0, 3) == 0
-        assert table.total(7) == 0
-
-    def test_active_qubits(self, two_modules):
-        circuit = QuantumCircuit(8)
-        circuit.cx(0, 4)
-        state = cross_module_state(two_modules)
-        table = WeightTable(DependencyGraph(circuit), state, k=8)
-        assert table.active_qubits() == frozenset({0, 4})
+    def test_active_qubits(self):
+        """Qubit 2 is in the look-ahead window, so it stays in the optical
+        zone and its fiber gate fires there without a shuttle."""
+        program = compile_pinned(*WINDOW_QUBIT_IN_FULL_ZONE)
+        assert splits(program, 2) == []
+        assert gate_zone(program, 2) == (0, 4)
 
 
 class TestInsertionRule:
-    def make_bv_like(self, hot=0, partners=range(4, 8)):
-        """Qubit ``hot`` must interact with every qubit on module 1."""
-        circuit = QuantumCircuit(8)
-        for partner in partners:
-            circuit.cx(hot, partner)
-        return circuit
+    def test_swap_inserted_for_heavy_remote_traffic(self):
+        """Fig 5's star: after one fiber gate the hub migrates to module 1
+        and its remaining gates run locally there."""
+        program = compile_pinned(*STAR_HUB)
+        assert len(swap_pairs(program)) == 1
+        assert gate_zone(program, 0) == (0, 4)
+        assert all(gate_zone(program, index) == 4 for index in range(1, 6))
 
-    def test_swap_fires_when_weight_exceeds_threshold(self, two_modules_cap8):
-        circuit = self.make_bv_like()
-        state = cross_module_state(two_modules_cap8)
-        dag = DependencyGraph(circuit)
-        dag.complete(0)  # pretend cx(0,4) just executed over fiber
-        config = MussTiConfig(swap_threshold=3, lookahead_k=8)
-        inserted = maybe_insert_swaps(state, dag, config, circuit[0])
-        # W(0, m0) == 0 and W(0, m1) == 3 ... wait: threshold 3 needs > 3.
-        assert inserted == 0
-
-        # With 5 remaining partners the weight (4) exceeds T=3.
-        circuit = self.make_bv_like(partners=range(4, 8))
-        state = cross_module_state(two_modules_cap8)
-        dag = DependencyGraph(circuit)
-        dag.complete(0)
-        # remaining gates: (0,5),(0,6),(0,7) -> W(0,m1)=3; need > T
-        config = MussTiConfig(swap_threshold=3, lookahead_k=8)
-        assert maybe_insert_swaps(state, dag, config, circuit[0]) == 0
-
-    def test_swap_inserted_for_heavy_remote_traffic(self, two_modules_cap8):
-        circuit = QuantumCircuit(16)
-        for partner in range(8, 14):
-            circuit.cx(0, partner)
-        state = cross_module_state(two_modules_cap8, per_module=8)
-        dag = DependencyGraph(circuit)
-        dag.complete(0)
-        config = MussTiConfig(swap_threshold=4, lookahead_k=8)
-        inserted = maybe_insert_swaps(state, dag, config, circuit[0])
-        assert inserted == 1
-        swaps = [op for op in state.operations if isinstance(op, SwapGateOp)]
-        assert len(swaps) == 1
-        assert state.module_of(0) == 1  # qubit 0 migrated to module 1
-
-    def test_no_swap_when_still_needed_at_home(self, two_modules_cap8):
-        circuit = QuantumCircuit(16)
-        circuit.cx(0, 8)
-        circuit.cx(0, 1)  # still needed on module 0
-        for partner in range(9, 14):
-            circuit.cx(0, partner)
-        state = cross_module_state(two_modules_cap8, per_module=8)
-        dag = DependencyGraph(circuit)
-        dag.complete(0)
-        config = MussTiConfig(swap_threshold=4)
-        assert maybe_insert_swaps(state, dag, config, circuit[0]) == 0
-
-    def test_no_swap_without_idle_partner(self, two_modules):
-        """Every module-1 qubit is busy with module-1 work: no candidate."""
-        circuit = QuantumCircuit(8)
-        for partner in range(4, 8):
-            circuit.cx(0, partner)
-        # Make every module-1 qubit locally busy within the window.
-        circuit_busy = QuantumCircuit(8)
-        circuit_busy.cx(0, 4)
-        for q in range(4, 8):
-            other = 4 + (q - 3) % 4
-            if other != q:
-                circuit_busy.cx(q, other)
-        for partner in range(5, 8):
-            circuit_busy.cx(0, partner)
-        state = cross_module_state(two_modules)
-        dag = DependencyGraph(circuit_busy)
-        dag.complete(0)
-        config = MussTiConfig(swap_threshold=3)
-        inserted = maybe_insert_swaps(state, dag, config, circuit_busy[0])
-        # Partners with W(qc, m1) > 0 are excluded; insertion may only pick
-        # a qubit with no module-1 work.
-        for op in state.operations:
-            if isinstance(op, SwapGateOp):
-                partner = op.qubit_b if op.qubit_a == 0 else op.qubit_a
-                table = WeightTable(dag, state, 8)
-                assert table.weight(partner, 1) == 0
-
-    def test_disabled_by_config(self, two_modules_cap8):
-        circuit = QuantumCircuit(16)
-        for partner in range(8, 14):
-            circuit.cx(0, partner)
-        state = cross_module_state(two_modules_cap8, per_module=8)
-        dag = DependencyGraph(circuit)
-        dag.complete(0)
-        config = MussTiConfig(use_swap_insertion=False)
-        assert maybe_insert_swaps(state, dag, config, circuit[0]) == 0
-        assert state.operations == []
-
-    def test_partner_never_awaits_gate_with_migrant(self, two_modules_cap8):
-        """The chosen partner must have no upcoming gate with the migrating
-        qubit (the BV churn bug this rule prevents)."""
-        circuit = QuantumCircuit(16)
-        for partner in range(8, 14):
-            circuit.cx(0, partner)
-        state = cross_module_state(two_modules_cap8, per_module=8)
-        dag = DependencyGraph(circuit)
-        dag.complete(0)
-        config = MussTiConfig(swap_threshold=4, lookahead_k=8)
-        maybe_insert_swaps(state, dag, config, circuit[0])
-        swaps = [op for op in state.operations if isinstance(op, SwapGateOp)]
-        assert swaps, "expected an inserted swap"
-        partner = swaps[0].qubit_b if swaps[0].qubit_a == 0 else swaps[0].qubit_a
-        upcoming = {
-            frozenset(dag.gate(node).qubits)
-            for layer in dag.first_k_layers(8)
-            for node in layer
-        }
-        assert frozenset({0, partner}) not in upcoming
+    def test_partner_never_awaits_gate_with_migrant(self):
+        """The chosen partner has no upcoming gate with the migrating qubit
+        (the BV churn bug this rule prevents): qubits 9-13 carry fewer window
+        gates than the busy 14 and 15, but each still awaits qubit 0."""
+        circuit = star(16, range(8, 14))
+        circuit.cx(1, 14).cx(1, 14).cx(2, 15).cx(2, 15)
+        program = compile_pinned(two_modules_cap8, circuit, SPLIT_8, SWAP_INSERT)
+        [(migrant, partner)] = swap_pairs(program)
+        assert (migrant, partner) == (0, 14)
+        assert all(set(gate.qubits) != {migrant, partner} for gate in circuit.gates)
 
 
 class TestConfigValidation:
