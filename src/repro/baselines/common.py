@@ -5,21 +5,25 @@ policy [70]) process the dependency DAG strictly first-come-first-served —
 they do *not* reorder the frontier to prioritise already-executable gates,
 which is one of MUSS-TI's contributions — and they differ only in how they
 resolve a gate whose operands are in different traps
-(:meth:`GridCompilerBase.resolve`).
+(:meth:`GridCompilerBase.resolve`).  Every DAG edge runs from a lower gate
+index to a higher one, so the lowest ready gate is always the next one in
+program order: the FCFS loop is a plain walk over the circuit.
 
 They reuse :class:`~repro.core.state.MachineState` for chain bookkeeping and
-op emission, so their schedules run through the same executor and physics as
-MUSS-TI's: the comparison differs only in policy, exactly as in the paper.
+packed op emission, and return an :class:`~repro.sim.program.ArrayProgram`,
+so their schedules replay and price on the same packed path as MUSS-TI's:
+the comparison differs only in policy, exactly as in the paper.
 """
 
 from __future__ import annotations
 
 import time
 
-from ..circuits import DependencyGraph, Gate, QuantumCircuit, validate_native
+from ..circuits import Gate, QuantumCircuit, validate_native
 from ..core.state import MachineState, RoutingError
 from ..hardware import Machine
-from ..sim import Program
+from ..sim.oparray import PackedOps
+from ..sim.program import ArrayProgram
 
 
 def block_placement(circuit: QuantumCircuit, machine: Machine) -> dict[int, tuple[int, ...]]:
@@ -51,29 +55,25 @@ class GridCompilerBase:
         circuit: QuantumCircuit,
         machine: Machine,
         initial_placement: dict[int, tuple[int, ...]] | None = None,
-    ) -> Program:
+    ) -> ArrayProgram:
         started = time.perf_counter()
         validate_native(circuit)
         if initial_placement is None:
             initial_placement = self.placement(circuit, machine)
-        dag = DependencyGraph(circuit)
         state = MachineState(machine, initial_placement)
-        while not dag.is_empty:
-            node = dag.frontier()[0]
-            gate = dag.gate(node)
+        for node, gate in enumerate(circuit.gates):
             if gate.is_one_qubit:
                 state.emit_one_qubit_gate(gate, node)
             else:
                 if self.needs_resolution(state, gate):
                     self.resolve(state, gate)
                 state.emit_local_gate(gate, node)
-            dag.complete(node)
         elapsed = time.perf_counter() - started
-        return Program(
+        return ArrayProgram(
             machine=machine,
             circuit=circuit,
             initial_placement=dict(initial_placement),
-            operations=state.operations,
+            packed=PackedOps.for_circuit(state.records, circuit),
             compiler_name=self.name,
             compile_time_s=elapsed,
             metadata={key: float(value) for key, value in state.stats.items()},
@@ -118,7 +118,7 @@ def make_room_simple(
         target = min(
             targets,
             key=lambda zone: (
-                machine.hop_distance(zone_id, zone.zone_id),
+                state.hops(zone_id, zone.zone_id),
                 -state.free_space(zone.zone_id),
             ),
         )

@@ -90,7 +90,7 @@ class MqtLikeCompiler(GridCompilerBase):
                     raise RoutingError("no trap can absorb a drained ion")
                 home = min(
                     open_traps,
-                    key=lambda z: state.machine.hop_distance(zone_id, z.zone_id),
+                    key=lambda z: state.hops(zone_id, z.zone_id),
                 ).zone_id
                 self._home[victim] = home
             state.shuttle(victim, home)

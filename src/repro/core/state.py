@@ -18,21 +18,17 @@ not scans or searches.
 All physical-op emission funnels through :meth:`shuttle`, which handles the
 chain-edge discipline: an interior ion is first bubbled to the nearest chain
 edge with physical chain swaps (Fig 4's "SWAP insert" of the qubit chain),
-then split, moved hop by hop, and merged at the destination tail.
+then split, moved hop by hop, and merged at the destination tail.  Ops are
+emitted as packed :mod:`repro.sim.oparray` records (kinds 0-4) into
+:attr:`MachineState.records`; op objects exist only through
+:meth:`~repro.sim.oparray.PackedOps.materialize`.
 """
 
 from __future__ import annotations
 
 from ..circuits import Gate
-from ..hardware import Machine
-from ..sim.ops import (
-    ChainSwapOp,
-    GateOp,
-    MergeOp,
-    MoveOp,
-    Operation,
-    SplitOp,
-)
+from ..hardware import Machine, MachineError
+from ..sim.oparray import K_CHAIN_SWAP, K_GATE, K_MERGE, K_MOVE, K_SPLIT
 
 
 class RoutingError(RuntimeError):
@@ -42,10 +38,10 @@ class RoutingError(RuntimeError):
 class MachineState:
     """Mutable scheduling state over a machine."""
 
-    #: Packed op records attached by the array-core scheduler
-    #: (:mod:`repro.core.arraycore`); ``operations`` stays empty then and
-    #: the pipeline builds an :class:`~repro.sim.program.ArrayProgram`
-    #: from these records instead of an op-object list.
+    #: The :class:`~repro.sim.oparray.PackedOps` attached by the array-core
+    #: scheduler (:mod:`repro.core.arraycore`); ``records`` stays empty
+    #: then and the pipeline builds its
+    #: :class:`~repro.sim.program.ArrayProgram` from this.
     packed_ops = None
 
     def __init__(
@@ -55,6 +51,7 @@ class MachineState:
         #: Precomputed topology lookups shared by every hot-path query.
         self.maps = machine.topology_maps()
         self._zone_capacity = self.maps.zone_capacity
+        self._distances = self.maps.distances
         self._paths = self.maps.paths
         self.chains: dict[int, list[int]] = {
             zone.zone_id: [] for zone in machine.zones
@@ -71,7 +68,8 @@ class MachineState:
             for zone_id, chain in initial_placement.items()
             if chain
         }
-        self.operations: list[Operation] = []
+        #: Packed op records emitted so far (see :mod:`repro.sim.oparray`).
+        self.records: list[tuple[int, ...]] = []
         self._clock = 0
         self.last_used: dict[int, int] = {q: 0 for q in self.location}
         #: compile-time pressure proxy: ops emitted touching each zone.
@@ -97,6 +95,15 @@ class MachineState:
 
     def co_located(self, qubit_a: int, qubit_b: int) -> bool:
         return self.location[qubit_a] == self.location[qubit_b]
+
+    def hops(self, source: int, destination: int) -> int:
+        """Shuttle hops between two zones; :class:`MachineError` if unreachable."""
+        distance = self._distances.get((source, destination))
+        if distance is None:
+            raise MachineError(
+                f"no shuttle path from zone {source} to zone {destination}"
+            )
+        return distance
 
     # ------------------------------------------------------------------
     # LRU clock
@@ -130,7 +137,7 @@ class MachineState:
             return
         if to_head <= to_tail:
             while position > 0:
-                self.operations.append(ChainSwapOp(zone_id, position - 1))
+                self.records.append((K_CHAIN_SWAP, zone_id, position - 1))
                 chain[position - 1], chain[position] = (
                     chain[position],
                     chain[position - 1],
@@ -139,7 +146,7 @@ class MachineState:
                 self.stats["chain_swaps"] += 1
         else:
             while position < len(chain) - 1:
-                self.operations.append(ChainSwapOp(zone_id, position))
+                self.records.append((K_CHAIN_SWAP, zone_id, position))
                 chain[position], chain[position + 1] = (
                     chain[position + 1],
                     chain[position],
@@ -167,18 +174,18 @@ class MachineState:
             # MachineError the seed raised from its per-query BFS).
             path = self.machine.shuttle_path(source_zone, destination_zone)
         self._bubble_to_edge(qubit)
-        operations = self.operations
+        records = self.records
         zone_usage = self.zone_usage
-        operations.append(SplitOp(qubit, source_zone))
+        records.append((K_SPLIT, qubit, source_zone))
         chains[source_zone].remove(qubit)
         here = path[0]
         for there in path[1:]:
-            operations.append(MoveOp(qubit, here, there))
+            records.append((K_MOVE, qubit, here, there))
             zone_usage[there] += 1.0
             here = there
         self.stats["shuttles"] += len(path) - 1
         zone_usage[source_zone] += 1.0
-        operations.append(MergeOp(qubit, destination_zone))
+        records.append((K_MERGE, qubit, destination_zone))
         destination_chain.append(qubit)
         self.location[qubit] = destination_zone
         self._clock += 1
@@ -191,7 +198,7 @@ class MachineState:
     def emit_one_qubit_gate(self, gate: Gate, circuit_index: int) -> None:
         """1q gates execute wherever the ion sits (§3.1 simplification)."""
         zone_id = self.location[gate.qubits[0]]
-        self.operations.append(GateOp(gate, zone_id, circuit_index))
+        self.records.append((K_GATE, circuit_index, zone_id))
 
     def emit_local_gate(self, gate: Gate, circuit_index: int) -> None:
         zone_id = self.location[gate.qubits[0]]
@@ -200,7 +207,7 @@ class MachineState:
                 f"local gate {gate} operands not co-located: "
                 f"{self.location[gate.qubits[0]]} vs {self.location[gate.qubits[1]]}"
             )
-        self.operations.append(GateOp(gate, zone_id, circuit_index))
+        self.records.append((K_GATE, circuit_index, zone_id))
         self.zone_usage[zone_id] += 0.25
         self.touch(*gate.qubits)
 
@@ -233,7 +240,7 @@ class MachineState:
         reads (``final_placement``, SABRE's two-fold search, pass stats).
         Every key already exists from ``__init__`` and only values
         change, so the dict key orders stay those of a fresh state.
-        ``operations`` stays empty — the schedule lives in ``packed`` (a
+        ``records`` stays empty — the schedule lives in ``packed`` (a
         :class:`~repro.sim.oparray.PackedOps`).
         """
         for zone_id in self.chains:

@@ -1,11 +1,12 @@
-"""Packed op streams: the array-core schedule representation.
+"""Packed op streams: the schedule representation the compilers emit.
 
-The array-core scheduler (:mod:`repro.core.arraycore`) emits its schedule
-as flat integer records instead of :mod:`repro.sim.ops` dataclass
-instances — creating ~50k frozen dataclasses per compile costs more than
-the scheduling decisions themselves.  A :class:`PackedOps` holds that
-stream: one small tuple of ints per op, tagged by a kind code, plus the
-per-gate operand arrays needed to price gates without touching
+The array-core scheduler (:mod:`repro.core.arraycore`) and the grid
+baselines (through :class:`~repro.core.state.MachineState`) emit their
+schedules as flat integer records instead of :mod:`repro.sim.ops`
+dataclass instances — creating ~50k frozen dataclasses per compile costs
+more than the scheduling decisions themselves.  A :class:`PackedOps`
+holds that stream: one small tuple of ints per op, tagged by a kind code,
+plus the per-gate operand arrays needed to price gates without touching
 :class:`~repro.circuits.Gate` objects.
 
 Three consumers read the packed form directly, skipping materialisation:
@@ -70,6 +71,16 @@ class PackedOps:
         self.qubits_a = qubits_a
         self.qubits_b = qubits_b
         self._shuttle_count: int | None = None
+
+    @classmethod
+    def for_circuit(cls, records, circuit) -> "PackedOps":
+        """Wrap ``records`` with the operand arrays of a native circuit."""
+        operands = [gate.qubits for gate in circuit.gates]
+        return cls(
+            records,
+            tuple(qubits[0] for qubits in operands),
+            tuple(qubits[1] if len(qubits) == 2 else -1 for qubits in operands),
+        )
 
     def __len__(self) -> int:
         return len(self.records)

@@ -77,7 +77,8 @@ class Program:
 class ArrayProgram(Program):
     """A :class:`Program` whose op stream lives in packed int records.
 
-    Produced by the array-core scheduler: the schedule is carried as a
+    Produced by the array-core scheduler and the grid baselines: the
+    schedule is carried as a
     :class:`~repro.sim.oparray.PackedOps` and the ``operations`` list of
     op dataclasses is only materialised on first access.  Pricing-side
     consumers (:func:`repro.sim.events.replay` and the ledger folds) read

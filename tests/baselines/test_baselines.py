@@ -10,10 +10,11 @@ from repro.baselines import (
     MuraliCompiler,
     block_placement,
 )
-from repro.circuits import QuantumCircuit
+from repro.circuits import GateError, QuantumCircuit
 from repro.core.state import RoutingError
 from repro.hardware import QCCDGridMachine
 from repro.sim import FiberGateOp, MoveOp, execute, verify_program
+from repro.sim.oparray import replay_packed
 from repro.workloads import get_benchmark
 
 ALL_BASELINES = [MuraliCompiler, DaiCompiler, MqtLikeCompiler]
@@ -55,6 +56,22 @@ class TestCorrectness:
         circuit = get_benchmark("BV_n32")
         program = compiler_cls().compile(circuit, small_grid_2x2)
         assert not any(isinstance(op, FiberGateOp) for op in program.operations)
+
+    @pytest.mark.parametrize("compiler_cls", ALL_BASELINES)
+    def test_replays_packed(self, compiler_cls, small_grid_2x2):
+        """The program carries packed records and replays without op objects."""
+        program = compiler_cls().compile(get_benchmark("QFT_n32"), small_grid_2x2)
+        packed = program.packed_view
+        assert packed is not None
+        assert replay_packed(program, packed) is not None
+
+    @pytest.mark.parametrize("compiler_cls", ALL_BASELINES)
+    def test_wide_gate_rejected(self, compiler_cls, tiny_grid):
+        circuit = QuantumCircuit(3)
+        circuit.h(0)
+        circuit.ccx(0, 1, 2)
+        with pytest.raises(GateError, match="gate #1"):
+            compiler_cls().compile(circuit, tiny_grid)
 
     @pytest.mark.parametrize("compiler_cls", ALL_BASELINES)
     def test_deterministic(self, compiler_cls, small_grid_2x2):

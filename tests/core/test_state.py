@@ -17,7 +17,7 @@ from scheduling_scenarios import (
 )
 
 from repro.core import MachineState, RoutingError
-from repro.sim import ChainSwapOp, MergeOp, MoveOp, SplitOp
+from repro.sim.oparray import K_CHAIN_SWAP, K_MERGE, K_MOVE, K_SPLIT
 
 
 class TestPlacement:
@@ -49,14 +49,13 @@ class TestShuttle:
         state.shuttle(2, 1)  # tail ion
         assert state.chains[0] == [0, 1]
         assert state.chains[1] == [2]
-        kinds = [type(op) for op in state.operations]
-        assert kinds == [SplitOp, MoveOp, MergeOp]
+        assert state.records == [(K_SPLIT, 2, 0), (K_MOVE, 2, 0, 1), (K_MERGE, 2, 1)]
 
     def test_interior_ion_bubbles_to_nearest_edge(self, tiny_grid):
         state = MachineState(tiny_grid, {0: (0, 1, 2, 3)})
         state.shuttle(1, 1)  # position 1 of 4: head side is nearer
-        chain_swaps = [op for op in state.operations if isinstance(op, ChainSwapOp)]
-        assert len(chain_swaps) == 1
+        chain_swaps = [record for record in state.records if record[0] == K_CHAIN_SWAP]
+        assert chain_swaps == [(K_CHAIN_SWAP, 0, 0)]
         assert state.chains[0] == [0, 2, 3]
 
     def test_multi_hop_path(self):
@@ -65,14 +64,14 @@ class TestShuttle:
         machine = QCCDGridMachine(1, 4, 4)
         state = MachineState(machine, {0: (0,)})
         state.shuttle(0, 3)
-        moves = [op for op in state.operations if isinstance(op, MoveOp)]
-        assert len(moves) == 3
+        moves = [record for record in state.records if record[0] == K_MOVE]
+        assert moves == [(K_MOVE, 0, 0, 1), (K_MOVE, 0, 1, 2), (K_MOVE, 0, 2, 3)]
         assert state.stats["shuttles"] == 3
 
     def test_noop_shuttle(self, tiny_grid):
         state = MachineState(tiny_grid, {0: (0,)})
         state.shuttle(0, 0)
-        assert state.operations == []
+        assert state.records == []
 
     def test_full_destination_rejected(self, tiny_grid):
         state = MachineState(tiny_grid, {0: (0,), 1: (1, 2, 3, 4)})

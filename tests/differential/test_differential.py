@@ -17,16 +17,15 @@ path, SWAP insertion and eviction storms).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 
 import pytest
+from program_bytes import program_bytes
 
 from repro.core import MussTiConfig
 from repro.hardware import resolve_machine
 from repro.pipeline import compile as compile_circuit
 from repro.sim import execute
-from repro.sim.trace import program_to_records
 from repro.workloads import SMALL_SUITE, get_benchmark
 
 from .reference import reference_compile, reference_execute
@@ -47,35 +46,12 @@ TABLE2_CELLS = [
 ]
 
 
-def _program_bytes(program) -> bytes:
-    """Canonical byte serialization of a compiled program.
-
-    ``program_to_records`` flattens every op with its resource-model
-    timing, so two equal byte strings mean equal schedules *and* equal
-    derived timelines.
-    """
-    payload = {
-        "compiler": program.compiler_name,
-        "initial_placement": {
-            str(zone): list(chain)
-            for zone, chain in sorted(program.initial_placement.items())
-        },
-        "final_placement": {
-            str(zone): list(chain)
-            for zone, chain in sorted(program.final_placement.items())
-        },
-        "metadata": dict(sorted(program.metadata.items())),
-        "operations": program_to_records(program),
-    }
-    return json.dumps(payload, sort_keys=True).encode()
-
-
 def assert_programs_identical(optimized, reference) -> None:
     assert optimized.operations == reference.operations
     assert optimized.initial_placement == reference.initial_placement
     assert optimized.final_placement == reference.final_placement
     assert optimized.metadata == reference.metadata
-    assert _program_bytes(optimized) == _program_bytes(reference)
+    assert program_bytes(optimized) == program_bytes(reference)
 
 
 def assert_reports_identical(optimized_report, reference_report) -> None:
