@@ -4,8 +4,9 @@ The differential oracle (``tests/differential/``) pins MUSS-TI against a
 frozen reference; this corpus pins everything else that emits ops — the
 three grid baselines and the MUSS-TI ablation arms — on the cells the
 paper's Table 2 and Fig 6 compile, plus each baseline on a faulted grid
-(a dead zone and a severed edge), whose programs replay on the object
-path.  Each entry stores the sha256 of the canonical program bytes with
+(a dead zone and a severed edge), MUSS-TI on an EML machine under two
+fault profiles (``mixed-1`` prices a degraded entangler), and one
+two-tenant :func:`~repro.multiprog.pack_batch` merge.  Each entry stores the sha256 of the canonical program bytes with
 the shuttle count, makespan and log10 fidelity, so a diff reads as
 numbers; a cell that raises stores its error instead.
 
@@ -24,10 +25,14 @@ from pathlib import Path
 
 from program_bytes import program_bytes
 
+from dataclasses import replace
+
 from repro.analysis.experiments import fig6, table2
 from repro.analysis.runs import benchmark_circuit, eml_for, small_grid
 from repro.core import RoutingError
-from repro.hardware import MachineError, resolve_machine
+from repro.faults import build_fault_profile
+from repro.hardware import MachineError, default_machine_registry, resolve_machine
+from repro.multiprog import BatchJob, pack_batch
 from repro.pipeline import resolve_compiler
 from repro.sim import execute
 
@@ -42,6 +47,20 @@ MUSS_TI_ARMS = ("muss-ti", "trivial", "sabre", "swap-insert")
 FAULTED_GRID = "grid:3x3:16?dead_zones=4&severed_edges=0-1"
 FAULTED_APPS = ("QFT_n16", "QFT_n32")
 BASELINES = ("murali", "dai", "mqt")
+
+#: MUSS-TI on an EML machine under fault profiles, as ``spec|profile``:
+#: ``mixed-1`` kills a storage zone, fails a link and degrades an
+#: entangler; ``dead-zones-2`` kills two storage zones.
+FAULTED_EML = tuple(
+    f"eml?capacity=4&modules=4|{profile}" for profile in ("mixed-1", "dead-zones-2")
+)
+
+#: One admission round packing two tenants: as CI's fleet smoke runs it
+#: (no shuttles), and on smaller traps, where both tenants shuttle.
+BATCH_CELLS = (
+    ("pack_batch", "GHZ_n16+QFT_n16", "eml:16:2"),
+    ("pack_batch", "GHZ_n16+QFT_n16", "eml?capacity=8&modules=4"),
+)
 
 
 def _paper_cells() -> list[tuple[str, str, str]]:
@@ -73,6 +92,10 @@ def corpus_cells() -> list[tuple[str, str, str]]:
         for app in FAULTED_APPS
         for compiler in BASELINES
     )
+    cells.extend(
+        ("muss-ti", app, machine) for app in FAULTED_APPS for machine in FAULTED_EML
+    )
+    cells.extend(BATCH_CELLS)
     return list(dict.fromkeys(cells))
 
 
@@ -81,14 +104,27 @@ def _machine(label: str, circuit):
         return small_grid(label.removeprefix("small:"))
     if label == "eml_for":
         return eml_for(circuit)
+    if "|" in label:
+        spec, profile = label.split("|")
+        pristine = resolve_machine(spec, circuit.num_qubits)
+        faults = build_fault_profile(profile, pristine)
+        architecture = replace(pristine.architecture(), faults=faults)
+        return default_machine_registry().from_architecture(architecture)
     return resolve_machine(label, circuit.num_qubits)
 
 
-def _entry(compiler: str, app: str, machine_label: str) -> dict:
+def _compile(compiler: str, app: str, machine_label: str):
+    if compiler == "pack_batch":
+        jobs = [BatchJob(name, name) for name in app.split("+")]
+        return pack_batch(jobs, machine_label).program
     circuit = benchmark_circuit(app)
     machine = _machine(machine_label, circuit)
+    return resolve_compiler(compiler).compile(circuit, machine)
+
+
+def _entry(compiler: str, app: str, machine_label: str) -> dict:
     try:
-        program = resolve_compiler(compiler).compile(circuit, machine)
+        program = _compile(compiler, app, machine_label)
     except (MachineError, RoutingError) as error:  # a failure is pinned too
         return {"error": f"{type(error).__name__}: {error}"}
     # Execute first: it reads the packed stream when there is one, and

@@ -79,6 +79,41 @@ CASES = {
 }
 
 
+#: case -> (op index, error text), captured from the object replay.
+EXPECTED = {
+    "chain_swap_out_of_range": (
+        0, "op #0: chain swap position -1 out of range for zone 0 (chain length 2)"
+    ),
+    "fiber_needs_optical": (
+        0, "op #0: fiber gate needs optical zones, got operation and operation"
+    ),
+    "fiber_operands_elsewhere": (0, "op #0: fiber gate expects qubit 0 in zone 4, found 0"),
+    "fiber_within_module": (0, "op #0: fiber gate endpoints must be in different modules"),
+    "gate_in_gateless_zone": (0, "op #0: zone 2 (storage) cannot execute two-qubit gates"),
+    "gate_operand_a_elsewhere": (0, "op #0: gate h [0] expects qubit 0 in zone 1, found 0"),
+    "gate_operand_b_elsewhere": (
+        0, "op #0: gate cx [0, 1] expects qubit 1 in zone 0, found 1"
+    ),
+    "left_detached": (None, "qubits left detached at end of program: [0]"),
+    "merge_into_full_zone": (2, "op #2: zone 1 is full (capacity 4)"),
+    "merge_into_wrong_zone": (2, "op #2: qubit 0 is over zone 1, not 3"),
+    "move_to_non_neighbour": (1, "op #1: zones 0 and 3 are not shuttle-adjacent"),
+    "move_while_docked": (0, "op #0: qubit 0 is not detached"),
+    "split_from_wrong_zone": (0, "op #0: qubit 0 is in zone 0, not 1"),
+    "split_interior": (
+        0,
+        "op #0: qubit 0 is at interior position 1 of zone 0 (chain swaps "
+        "required before split)",
+    ),
+    "swap_local_gateless": (0, "op #0: zone 2 cannot execute gates"),
+    "swap_operands_elsewhere": (0, "op #0: swap expects qubit 1 in zone 0, found 4"),
+    "swap_remote_needs_optical": (0, "op #0: remote swap endpoints must be optical zones"),
+    "swap_remote_within_module": (
+        0, "op #0: remote swap endpoints must be in different modules"
+    ),
+}
+
+
 def _programs(machine, placement, records):
     """The stream as an :class:`ArrayProgram` and as a plain object program."""
     num_qubits = sum(len(chain) for chain in placement.values())
@@ -110,6 +145,7 @@ def test_packed_replay_rejects(case: str, request: pytest.FixtureRequest) -> Non
         replay(array_program)
     assert str(raised.value) == str(expected.value)
     assert raised.value.op_index == expected.value.op_index
+    assert (raised.value.op_index, str(raised.value)) == EXPECTED[case]
 
 
 def test_legal_stream_replays_packed(tiny_grid) -> None:
