@@ -6,10 +6,10 @@
 job a region, and the job's circuit is compiled against the region's
 sub-machine through the ordinary :func:`repro.compile` front door — the
 MUSS-TI pipeline neither knows nor cares that its machine is a slice of
-a bigger one.  The per-region programs are then lifted into the machine
-frame (zone ids through the region's zone map, qubit and gate indices
-offset per tenant) and concatenated into one machine-wide
-:class:`~repro.sim.Program`.
+a bigger one.  The per-region programs' packed records are then lifted
+into the machine frame (zone ids through the region's zone map, qubit
+and gate indices offset per tenant) and concatenated into one
+machine-wide :class:`~repro.sim.program.ArrayProgram`.
 
 Concatenation *is* interleaving here: the ledger's timing fold starts an
 op when its qubits and blocking zones are free, and disjoint regions
@@ -33,22 +33,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..circuits import QuantumCircuit
+from ..circuits import Gate, QuantumCircuit
 from ..hardware import Machine, resolve_machine
 from ..physics import resolve_physics
 from ..pipeline.facade import compile as compile_circuit
 from ..sim.events import EventLedger, replay
-from ..sim.ops import (
-    ChainSwapOp,
-    FiberGateOp,
-    GateOp,
-    MergeOp,
-    MoveOp,
-    Operation,
-    SplitOp,
-    SwapGateOp,
+from ..sim.oparray import (
+    K_CHAIN_SWAP,
+    K_FIBER,
+    K_GATE,
+    K_MERGE,
+    K_MOVE,
+    K_SPLIT,
+    K_SWAP,
+    PackedOps,
 )
-from ..sim.program import Program
+from ..sim.program import ArrayProgram, Program
 from ..workloads import get_benchmark
 from .policies import Policy, resolve_policy
 from .regions import Region, RegionAllocator, RegionError
@@ -126,50 +126,60 @@ class BatchSchedule:
         return tuple(placement.job for placement in self.placements)
 
 
-def _remap_op(
-    op: Operation, zone_map: dict[int, int], qubit_offset: int, gate_offset: int
-) -> Operation:
-    """Lift one region-frame op into the machine frame."""
-    op_class = op.__class__
-    if op_class is GateOp:
-        return GateOp(
-            gate=op.gate.on(*(q + qubit_offset for q in op.gate.qubits)),
-            zone=zone_map[op.zone],
-            circuit_index=(
-                op.circuit_index + gate_offset if op.circuit_index >= 0 else -1
-            ),
+def _lift_records(
+    program: Program,
+    zone_of: tuple[int, ...],
+    qubit_offset: int,
+    gate_offset: int,
+    extra_offset: int,
+) -> tuple[list[tuple], list[Gate]]:
+    """Lift a region-frame program's packed records into the machine frame.
+
+    ``zone_of`` maps region zone ids to machine zone ids.  Circuit gate
+    nodes move by ``gate_offset``; the nodes of gates the tenant's
+    circuit does not hold (a compiler that returns op objects may insert
+    some) move by ``extra_offset``.  Returns the records and those extra
+    gates on their machine-frame qubits.
+    """
+    packed = program.packed_view
+    if packed is None:
+        packed = PackedOps.from_operations(
+            program.operations, program.circuit, program.machine.num_zones
         )
-    if op_class is MoveOp:
-        return MoveOp(
-            qubit=op.qubit + qubit_offset,
-            source_zone=zone_map[op.source_zone],
-            destination_zone=zone_map[op.destination_zone],
-        )
-    if op_class is SplitOp:
-        return SplitOp(qubit=op.qubit + qubit_offset, zone=zone_map[op.zone])
-    if op_class is MergeOp:
-        return MergeOp(
-            qubit=op.qubit + qubit_offset, zone=zone_map[op.zone], side=op.side
-        )
-    if op_class is ChainSwapOp:
-        return ChainSwapOp(zone=zone_map[op.zone], position=op.position)
-    if op_class is FiberGateOp:
-        return FiberGateOp(
-            gate=op.gate.on(*(q + qubit_offset for q in op.gate.qubits)),
-            zone_a=zone_map[op.zone_a],
-            zone_b=zone_map[op.zone_b],
-            circuit_index=(
-                op.circuit_index + gate_offset if op.circuit_index >= 0 else -1
-            ),
-        )
-    if op_class is SwapGateOp:
-        return SwapGateOp(
-            qubit_a=op.qubit_a + qubit_offset,
-            qubit_b=op.qubit_b + qubit_offset,
-            zone_a=zone_map[op.zone_a],
-            zone_b=zone_map[op.zone_b],
-        )
-    raise TypeError(f"unknown op type {type(op).__name__}")
+    num_gates = len(program.circuit.gates)
+    extra_gates = [
+        gate.on(*(q + qubit_offset for q in gate.qubits))
+        for gate in packed.gate_table(program.circuit)[num_gates:]
+    ]
+    lifted = []
+    append = lifted.append
+    for record in packed.records:
+        kind = record[0]
+        if kind == K_GATE or kind == K_FIBER:
+            node = record[1]
+            node += gate_offset if node < num_gates else extra_offset
+            append((kind, node) + tuple(zone_of[zone_id] for zone_id in record[2:]))
+        elif kind == K_MOVE:
+            append(
+                (K_MOVE, record[1] + qubit_offset, zone_of[record[2]], zone_of[record[3]])
+            )
+        elif kind == K_SPLIT or kind == K_MERGE:  # a merge may carry its side
+            append((kind, record[1] + qubit_offset, zone_of[record[2]]) + record[3:])
+        elif kind == K_CHAIN_SWAP:
+            append((K_CHAIN_SWAP, zone_of[record[1]], record[2]))
+        elif kind == K_SWAP:
+            append(
+                (
+                    K_SWAP,
+                    record[1] + qubit_offset,
+                    record[2] + qubit_offset,
+                    zone_of[record[3]],
+                    zone_of[record[4]],
+                )
+            )
+        else:  # K_INVALID: the combined replay raises its text
+            append(record)
+    return lifted, extra_gates
 
 
 def _lift_placement(
@@ -199,13 +209,15 @@ def _combine(
             machine=machine,
             program=program,
             placements=placements,
-            owners=(0,) * len(program.operations),
+            owners=(0,) * program.num_operations,
             deferred=deferred,
         )
 
     total_qubits = sum(p.program.circuit.num_qubits for p in placements)
+    total_gates = sum(len(p.program.circuit.gates) for p in placements)
     combined_circuit = QuantumCircuit(max(total_qubits, 1), name="multiprog")
-    operations: list[Operation] = []
+    records: list[tuple] = []
+    extra_gates: list[Gate] = []
     owners: list[int] = []
     initial_placement: dict[int, tuple[int, ...]] = {}
     final_placement: dict[int, tuple[int, ...]] = {}
@@ -215,11 +227,16 @@ def _combine(
         offset = placement.qubit_offset
         for gate in placement.program.circuit.gates:
             combined_circuit.append(gate.on(*(q + offset for q in gate.qubits)))
-        for op in placement.program.operations:
-            operations.append(
-                _remap_op(op, zone_map, offset, placement.gate_offset)
-            )
-            owners.append(index)
+        lifted, extras = _lift_records(
+            placement.program,
+            placement.region.zone_ids,
+            offset,
+            placement.gate_offset,
+            total_gates + len(extra_gates) - len(placement.program.circuit.gates),
+        )
+        records.extend(lifted)
+        extra_gates.extend(extras)
+        owners.extend([index] * len(lifted))
         initial_placement.update(
             _lift_placement(placement.program.initial_placement, zone_map, offset)
         )
@@ -229,11 +246,11 @@ def _combine(
             )
         compile_time_s += placement.program.compile_time_s
 
-    program = Program(
+    program = ArrayProgram(
         machine=machine,
         circuit=combined_circuit,
         initial_placement=initial_placement,
-        operations=operations,
+        packed=PackedOps.for_circuit(records, combined_circuit, extra_gates),
         compiler_name="multiprog",
         compile_time_s=compile_time_s,
         metadata={"tenants": float(len(placements))},

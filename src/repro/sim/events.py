@@ -1,9 +1,10 @@
 """Timed-event ledger: replay once, price many times.
 
-This module is the repository's **single pricing engine**.  One
-legality-checked replay of a :class:`~repro.sim.program.Program` produces
-an :class:`EventLedger` — the canonical record of *what happened*: op
-kinds, qubits, zones, and the trap occupancies that local two-qubit
+This module is the repository's **single replay and pricing engine**.
+One legality-checked replay of a :class:`~repro.sim.program.Program`'s
+packed records (:mod:`repro.sim.oparray`) produces an
+:class:`EventLedger` — the canonical record of *what happened*: the
+records themselves plus the trap occupancies that local two-qubit
 fidelity depends on.  Everything priced from a schedule is then a pure
 fold over that ledger under a :class:`~repro.physics.PhysicalParams`:
 
@@ -14,17 +15,21 @@ fold over that ledger under a :class:`~repro.physics.PhysicalParams`:
 * Fig 13-style counterfactuals — :func:`reprice` / :func:`price_many`
   under any physics profile, **without re-validating**.
 
-The per-op duration and fidelity-charge tables live here and only here;
+The replay, the timing fold and the fidelity fold exist once each, all
+over packed records; op dataclass lists are encoded before the replay
+(:meth:`~repro.sim.oparray.PackedOps.from_operations`).  The per-op
+duration and fidelity-charge tables live here and only here;
 ``breakdown.py`` and ``trace.py`` carry no pricing knowledge of their
 own, so the three views can never drift apart again.
 
 Pricing reproduces the §4 model bit for bit: Eq. 1
 (``exp(-t/T1 - k·nbar)``) for trap operations, ``1 - εN²`` for local
-entanglers, the 0.99 fiber gate, and the per-zone background
-``B_i = exp(-k·heat_i)`` — every natural-log charge is accumulated in
-exactly the order the original executor charged its ledger, so an
+entanglers, the 0.99 fiber gate (plus ``log(1 - eps)`` per degraded
+module entangler), and the per-zone background ``B_i = exp(-k·heat_i)``
+— every natural-log charge is accumulated in exactly the order the
+original executor charged its ledger, so an
 :class:`~repro.sim.metrics.ExecutionReport` priced through this module
-matches the pre-refactor executor byte for byte (the differential suite
+matches the frozen reference byte for byte (the differential suite
 asserts it).
 
 Repricing the same ledger under N parameter sets costs one replay plus N
@@ -42,14 +47,16 @@ from dataclasses import dataclass
 from ..physics import PhysicalParams, idle_log_fidelity, shuttle_log_fidelity
 from ..physics.timing import move_duration_us
 from .metrics import ExecutionReport
-from .ops import (
-    ChainSwapOp,
-    FiberGateOp,
-    GateOp,
-    MergeOp,
-    MoveOp,
-    SplitOp,
-    SwapGateOp,
+from .oparray import (
+    K_CHAIN_SWAP,
+    K_FIBER,
+    K_GATE,
+    K_INVALID,
+    K_MERGE,
+    K_MOVE,
+    K_SPLIT,
+    K_SWAP,
+    PackedOps,
 )
 from .program import Program
 
@@ -75,250 +82,6 @@ class ExecutionError(RuntimeError):
             message = f"op #{op_index}: {message}"
         super().__init__(message)
         self.op_index = op_index
-
-
-class _MachineReplay:
-    """Mutable chain/transit state shared by execution and verification."""
-
-    def __init__(self, program: Program) -> None:
-        self.machine = program.machine
-        self.fault_model = program.machine.fault_model
-        self._dead = (
-            frozenset(self.fault_model.dead_zones)
-            if self.fault_model is not None
-            else frozenset()
-        )
-        self._blocked = (
-            frozenset(self.fault_model.failed_links)
-            if self.fault_model is not None
-            else frozenset()
-        )
-        self.chains: dict[int, list[int]] = {
-            zone.zone_id: [] for zone in program.machine.zones
-        }
-        for zone_id, chain in program.initial_placement.items():
-            self.chains[zone_id] = list(chain)
-        self.location: dict[int, int] = {}
-        for zone_id, chain in self.chains.items():
-            if chain and zone_id in self._dead:
-                raise ExecutionError(
-                    f"initial placement puts qubit(s) {sorted(chain)} in "
-                    f"zone {zone_id}, which the fault model declares dead"
-                )
-            for qubit in chain:
-                self.location[qubit] = zone_id
-        #: qubit -> zone it is hovering over while detached (None = in chain).
-        self.in_transit: dict[int, int] = {}
-
-    # -- shuttle ops -----------------------------------------------------
-
-    def split(self, op: SplitOp, index: int) -> None:
-        if op.qubit in self.in_transit:
-            raise ExecutionError(f"qubit {op.qubit} is already detached", index)
-        zone_id = self.location.get(op.qubit)
-        if zone_id != op.zone:
-            raise ExecutionError(
-                f"qubit {op.qubit} is in zone {zone_id}, not {op.zone}", index
-            )
-        chain = self.chains[op.zone]
-        position = chain.index(op.qubit)
-        if position not in (0, len(chain) - 1):
-            raise ExecutionError(
-                f"qubit {op.qubit} is at interior position {position} of "
-                f"zone {op.zone} (chain swaps required before split)",
-                index,
-            )
-        chain.remove(op.qubit)
-        del self.location[op.qubit]
-        self.in_transit[op.qubit] = op.zone
-
-    def move(self, op: MoveOp, index: int) -> None:
-        at = self.in_transit.get(op.qubit)
-        if at is None:
-            raise ExecutionError(f"qubit {op.qubit} is not detached", index)
-        if at != op.source_zone:
-            raise ExecutionError(
-                f"qubit {op.qubit} is over zone {at}, not {op.source_zone}",
-                index,
-            )
-        if op.destination_zone not in self.machine.neighbours(op.source_zone):
-            raise ExecutionError(
-                f"zones {op.source_zone} and {op.destination_zone} are not "
-                "shuttle-adjacent",
-                index,
-            )
-        if self.fault_model is not None:
-            if op.destination_zone in self._dead:
-                raise ExecutionError(
-                    f"zone {op.destination_zone} is dead (fault model); "
-                    f"qubit {op.qubit} cannot shuttle into it",
-                    index,
-                )
-            if self.fault_model.severs_edge(op.source_zone, op.destination_zone):
-                raise ExecutionError(
-                    f"shuttle edge {op.source_zone}-{op.destination_zone} is "
-                    "severed (fault model)",
-                    index,
-                )
-        self.in_transit[op.qubit] = op.destination_zone
-
-    def merge(self, op: MergeOp, index: int) -> None:
-        at = self.in_transit.get(op.qubit)
-        if at is None:
-            raise ExecutionError(f"qubit {op.qubit} is not detached", index)
-        if at != op.zone:
-            raise ExecutionError(
-                f"qubit {op.qubit} is over zone {at}, not {op.zone}", index
-            )
-        chain = self.chains[op.zone]
-        zone = self.machine.zone(op.zone)
-        if op.zone in self._dead:
-            raise ExecutionError(
-                f"zone {op.zone} is dead (fault model); qubit {op.qubit} "
-                "cannot merge into it",
-                index,
-            )
-        if len(chain) >= zone.capacity:
-            raise ExecutionError(
-                f"zone {op.zone} is full (capacity {zone.capacity})", index
-            )
-        if op.side == "head":
-            chain.insert(0, op.qubit)
-        elif op.side == "tail":
-            chain.append(op.qubit)
-        else:
-            raise ExecutionError(f"bad merge side {op.side!r}", index)
-        del self.in_transit[op.qubit]
-        self.location[op.qubit] = op.zone
-
-    def chain_swap(self, op: ChainSwapOp, index: int) -> None:
-        chain = self.chains[op.zone]
-        if not 0 <= op.position < len(chain) - 1:
-            raise ExecutionError(
-                f"chain swap position {op.position} out of range for zone "
-                f"{op.zone} (chain length {len(chain)})",
-                index,
-            )
-        chain[op.position], chain[op.position + 1] = (
-            chain[op.position + 1],
-            chain[op.position],
-        )
-
-    # -- gate ops ----------------------------------------------------------
-
-    def check_local_gate(self, op: GateOp, index: int) -> int:
-        """Validate a local gate; returns ions-in-trap for fidelity."""
-        zone = self.machine.zone(op.zone)
-        for qubit in op.gate.qubits:
-            location = self.location.get(qubit)
-            if location != op.zone:
-                raise ExecutionError(
-                    f"gate {op.gate} expects qubit {qubit} in zone {op.zone}, "
-                    f"found {location}",
-                    index,
-                )
-        if op.gate.is_two_qubit and not zone.allows_gates:
-            raise ExecutionError(
-                f"zone {op.zone} ({zone.kind.value}) cannot execute two-qubit "
-                f"gates",
-                index,
-            )
-        if op.zone in self._dead:
-            raise ExecutionError(
-                f"zone {op.zone} is dead (fault model); no gate can run there",
-                index,
-            )
-        return len(self.chains[op.zone])
-
-    def check_fiber_gate(self, op: FiberGateOp, index: int) -> None:
-        zone_a = self.machine.zone(op.zone_a)
-        zone_b = self.machine.zone(op.zone_b)
-        if not (zone_a.allows_fiber and zone_b.allows_fiber):
-            raise ExecutionError(
-                f"fiber gate needs optical zones, got {zone_a.kind.value} and "
-                f"{zone_b.kind.value}",
-                index,
-            )
-        if zone_a.module_id == zone_b.module_id:
-            raise ExecutionError(
-                "fiber gate endpoints must be in different modules", index
-            )
-        self._check_link_live(
-            op.zone_a, op.zone_b, zone_a.module_id, zone_b.module_id, index
-        )
-        qubit_a, qubit_b = op.gate.qubits
-        if self.location.get(qubit_a) != op.zone_a:
-            raise ExecutionError(
-                f"fiber gate expects qubit {qubit_a} in zone {op.zone_a}, "
-                f"found {self.location.get(qubit_a)}",
-                index,
-            )
-        if self.location.get(qubit_b) != op.zone_b:
-            raise ExecutionError(
-                f"fiber gate expects qubit {qubit_b} in zone {op.zone_b}, "
-                f"found {self.location.get(qubit_b)}",
-                index,
-            )
-
-    def _check_link_live(
-        self,
-        zone_a: int,
-        zone_b: int,
-        module_a: int,
-        module_b: int,
-        index: int,
-    ) -> None:
-        if self.fault_model is None:
-            return
-        if zone_a in self._dead or zone_b in self._dead:
-            raise ExecutionError(
-                f"optical zone {zone_a if zone_a in self._dead else zone_b} "
-                "is dead (fault model)",
-                index,
-            )
-        key = (min(module_a, module_b), max(module_a, module_b))
-        if key in self._blocked:
-            raise ExecutionError(
-                f"optical link {key[0]}-{key[1]} is failed (fault model)",
-                index,
-            )
-
-    def apply_swap_gate(self, op: SwapGateOp, index: int) -> None:
-        """Validate and apply a logical SWAP (exchanges chain labels)."""
-        for qubit, zone_id in ((op.qubit_a, op.zone_a), (op.qubit_b, op.zone_b)):
-            if self.location.get(qubit) != zone_id:
-                raise ExecutionError(
-                    f"swap expects qubit {qubit} in zone {zone_id}, found "
-                    f"{self.location.get(qubit)}",
-                    index,
-                )
-        if op.is_remote:
-            zone_a = self.machine.zone(op.zone_a)
-            zone_b = self.machine.zone(op.zone_b)
-            if not (zone_a.allows_fiber and zone_b.allows_fiber):
-                raise ExecutionError(
-                    "remote swap endpoints must be optical zones", index
-                )
-            if zone_a.module_id == zone_b.module_id:
-                raise ExecutionError(
-                    "remote swap endpoints must be in different modules", index
-                )
-            self._check_link_live(
-                op.zone_a, op.zone_b, zone_a.module_id, zone_b.module_id, index
-            )
-        else:
-            if not self.machine.zone(op.zone_a).allows_gates:
-                raise ExecutionError(
-                    f"zone {op.zone_a} cannot execute gates", index
-                )
-        chain_a = self.chains[op.zone_a]
-        chain_b = self.chains[op.zone_b]
-        index_a = chain_a.index(op.qubit_a)
-        index_b = chain_b.index(op.qubit_b)
-        chain_a[index_a] = op.qubit_b
-        chain_b[index_b] = op.qubit_a
-        self.location[op.qubit_a] = op.zone_b
-        self.location[op.qubit_b] = op.zone_a
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,37 +118,29 @@ class TimedEvent:
         return sum(value for _, value in self.charges) * _LOG10_E
 
 
-def _op_shape(op, one_qubit_time, two_qubit_time, fiber_time, move_time, params):
-    """(kind, duration, qubits, zones) for any schedule op — the one
-    descriptive table trace records and events share."""
-    op_class = op.__class__
-    if op_class is GateOp:
-        duration = one_qubit_time if op.gate.is_one_qubit else two_qubit_time
-        return f"gate:{op.gate.name}", duration, op.gate.qubits, (op.zone,)
-    if op_class is MoveOp:
-        return "move", move_time, (op.qubit,), (op.source_zone, op.destination_zone)
-    if op_class is SplitOp:
-        return "split", params.split_time_us, (op.qubit,), (op.zone,)
-    if op_class is MergeOp:
-        return "merge", params.merge_time_us, (op.qubit,), (op.zone,)
-    if op_class is ChainSwapOp:
-        return "chain_swap", params.chain_swap_time_us, (), (op.zone,)
-    if op_class is FiberGateOp:
-        return (
-            f"fiber:{op.gate.name}",
-            fiber_time,
-            op.gate.qubits,
-            (op.zone_a, op.zone_b),
-        )
-    if op_class is SwapGateOp:
-        duration = 3 * (fiber_time if op.is_remote else two_qubit_time)
-        return (
-            "swap_insert",
-            duration,
-            (op.qubit_a, op.qubit_b),
-            (op.zone_a, op.zone_b),
-        )
-    raise TypeError(f"unknown op type {type(op).__name__}")
+def _describe(record, gates) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """(kind, qubits, zones) of one record — the descriptive fields trace
+    records and events share."""
+    kind = record[0]
+    if kind == K_GATE:
+        gate = gates[record[1]]
+        return f"gate:{gate.name}", gate.qubits, (record[2],)
+    if kind == K_MOVE:
+        return "move", (record[1],), (record[2], record[3])
+    if kind == K_SPLIT:
+        return "split", (record[1],), (record[2],)
+    if kind == K_MERGE:
+        return "merge", (record[1],), (record[2],)
+    if kind == K_CHAIN_SWAP:
+        return "chain_swap", (), (record[1],)
+    if kind == K_FIBER:
+        gate = gates[record[1]]
+        return f"fiber:{gate.name}", gate.qubits, (record[2], record[3])
+    return "swap_insert", (record[1], record[2]), (record[3], record[4])
+
+
+#: Record field naming the zone a trap op heats, by kind.
+_HEATED_FIELD = {K_SPLIT: 2, K_MOVE: 3, K_MERGE: 2, K_CHAIN_SWAP: 1}
 
 
 class _Timing:
@@ -403,11 +158,12 @@ class _Timing:
 class EventLedger:
     """The replay-once artifact: one legality-checked pass over a program.
 
-    Holds the program plus the only replay-dependent pricing input — the
-    trap occupancy each local entangler fired with — and the op-category
-    counts.  All pricing methods are pure folds; none mutates machine
-    state or re-validates legality, which is what makes
-    :meth:`reprice`-ing the same schedule under many
+    Holds the program, the packed records the replay checked
+    (:attr:`packed`), the only replay-dependent pricing input — the trap
+    occupancy each local entangler fired with — and the op-category
+    counts.  All pricing methods are pure folds over :attr:`packed`;
+    none mutates machine state or re-validates legality, which is what
+    makes :meth:`reprice`-ing the same schedule under many
     :class:`~repro.physics.PhysicalParams` cheap.
 
     Build one with :func:`replay`.
@@ -415,6 +171,7 @@ class EventLedger:
 
     __slots__ = (
         "program",
+        "packed",
         "trap_sizes",
         "split_count",
         "move_count",
@@ -426,13 +183,14 @@ class EventLedger:
         "inserted_swap_count",
         "remote_swap_count",
         "_timing_cache",
-        "_packed",
     )
 
     def __init__(
-        self, program: Program, trap_sizes: list[int], counts, packed=None
+        self, program: Program, trap_sizes: list[int], counts, packed: PackedOps
     ) -> None:
         self.program = program
+        #: The records that were replayed; every fold reads these.
+        self.packed = packed
         #: ions-in-trap per op index (0 where not applicable).
         self.trap_sizes = trap_sizes
         (
@@ -447,14 +205,9 @@ class EventLedger:
             self.remote_swap_count,
         ) = counts
         self._timing_cache: dict[tuple, _Timing] = {}
-        #: Packed records when the replay ran on them (array-core fast
-        #: path); the sink-less folds then skip op materialisation.
-        self._packed = packed
 
     def __len__(self) -> int:
-        if self._packed is not None:
-            return len(self._packed)
-        return len(self.program.operations)
+        return len(self.packed)
 
     # -- timing fold -----------------------------------------------------
 
@@ -486,16 +239,10 @@ class EventLedger:
         cached = self._timing_cache.get(signature)
         if cached is not None:
             return cached
-        packed = self._packed
-        if packed is not None and getattr(
-            self.program, "packed_view", None
-        ) is packed:
-            from .oparray import timing_fold_packed
 
-            timing = _Timing(*timing_fold_packed(self, packed, signature))
-            self._timing_cache[signature] = timing
-            return timing
-
+        packed = self.packed
+        qubits_a = packed.qubits_a
+        qubits_b = packed.qubits_b
         qubit_ready: dict[int, float] = {}
         zone_ready: dict[int, float] = {}
         qubit_busy: dict[int, float] = {}
@@ -506,13 +253,14 @@ class EventLedger:
         spans: list[tuple[float, float, float]] = []
         append_span = spans.append
 
-        for op in self.program.operations:
-            op_class = op.__class__
-            if op_class is GateOp:
-                qubits = op.gate.qubits
-                if len(qubits) == 1:
+        for record in packed.records:
+            kind = record[0]
+            if kind == K_GATE:
+                node = record[1]
+                qubit_b = qubits_b[node]
+                if qubit_b < 0:
                     serial_time += one_qubit_time
-                    qubit = qubits[0]
+                    qubit = qubits_a[node]
                     start = qubit_ready_get(qubit, 0.0)
                     end = start + one_qubit_time
                     qubit_ready[qubit] = end
@@ -520,8 +268,8 @@ class EventLedger:
                     append_span((start, one_qubit_time, end))
                 else:
                     serial_time += two_qubit_time
-                    zone_id = op.zone
-                    qubit_a, qubit_b = qubits
+                    zone_id = record[2]
+                    qubit_a = qubits_a[node]
                     start = qubit_ready_get(qubit_a, 0.0)
                     when = qubit_ready_get(qubit_b, 0.0)
                     if when > start:
@@ -536,11 +284,11 @@ class EventLedger:
                     qubit_busy[qubit_b] = qubit_busy_get(qubit_b, 0.0) + two_qubit_time
                     zone_ready[zone_id] = end
                     append_span((start, two_qubit_time, end))
-            elif op_class is MoveOp:
+            elif kind == K_MOVE:
                 serial_time += move_time
-                qubit = op.qubit
-                source_zone = op.source_zone
-                destination_zone = op.destination_zone
+                qubit = record[1]
+                source_zone = record[2]
+                destination_zone = record[3]
                 start = qubit_ready_get(qubit, 0.0)
                 when = zone_ready_get(source_zone, 0.0)
                 if when > start:
@@ -554,11 +302,11 @@ class EventLedger:
                 zone_ready[source_zone] = end
                 zone_ready[destination_zone] = end
                 append_span((start, move_time, end))
-            elif op_class is SplitOp or op_class is MergeOp:
-                duration = split_time if op_class is SplitOp else merge_time
+            elif kind == K_SPLIT or kind == K_MERGE:
+                duration = split_time if kind == K_SPLIT else merge_time
                 serial_time += duration
-                zone_id = op.zone
-                qubit = op.qubit
+                qubit = record[1]
+                zone_id = record[2]
                 start = qubit_ready_get(qubit, 0.0)
                 when = zone_ready_get(zone_id, 0.0)
                 if when > start:
@@ -568,18 +316,20 @@ class EventLedger:
                 qubit_busy[qubit] = qubit_busy_get(qubit, 0.0) + duration
                 zone_ready[zone_id] = end
                 append_span((start, duration, end))
-            elif op_class is ChainSwapOp:
+            elif kind == K_CHAIN_SWAP:
                 serial_time += chain_swap_time
-                zone_id = op.zone
+                zone_id = record[1]
                 start = zone_ready_get(zone_id, 0.0)
                 end = start + chain_swap_time
                 zone_ready[zone_id] = end
                 append_span((start, chain_swap_time, end))
-            elif op_class is FiberGateOp:
+            elif kind == K_FIBER:
                 serial_time += fiber_time
-                zone_a = op.zone_a
-                zone_b = op.zone_b
-                qubit_a, qubit_b = op.gate.qubits
+                node = record[1]
+                zone_a = record[2]
+                zone_b = record[3]
+                qubit_a = qubits_a[node]
+                qubit_b = qubits_b[node]
                 start = qubit_ready_get(qubit_a, 0.0)
                 when = qubit_ready_get(qubit_b, 0.0)
                 if when > start:
@@ -598,9 +348,8 @@ class EventLedger:
                 zone_ready[zone_a] = end
                 zone_ready[zone_b] = end
                 append_span((start, fiber_time, end))
-            elif op_class is SwapGateOp:
-                zone_a = op.zone_a
-                zone_b = op.zone_b
+            else:  # K_SWAP
+                qubit_a, qubit_b, zone_a, zone_b = record[1:]
                 if zone_a != zone_b:
                     duration = 3 * fiber_time
                     zones = (zone_a, zone_b)
@@ -608,8 +357,6 @@ class EventLedger:
                     duration = 3 * two_qubit_time
                     zones = (zone_a,)
                 serial_time += duration
-                qubit_a = op.qubit_a
-                qubit_b = op.qubit_b
                 start = qubit_ready_get(qubit_a, 0.0)
                 when = qubit_ready_get(qubit_b, 0.0)
                 if when > start:
@@ -626,8 +373,6 @@ class EventLedger:
                 for zone_id in zones:
                     zone_ready[zone_id] = end
                 append_span((start, duration, end))
-            else:
-                raise TypeError(f"unknown op type {type(op).__name__}")
 
         makespan = max(
             max(qubit_ready.values(), default=0.0),
@@ -688,48 +433,19 @@ class EventLedger:
                 for zone in machine.zones
             }
 
-        packed = self._packed
-        if (
-            packed is not None
-            and sink is None
-            and zone_fiber_extra is None
-            and getattr(self.program, "packed_view", None) is packed
-        ):
-            from .oparray import fidelity_fold_packed
-
-            return fidelity_fold_packed(
-                self,
-                packed,
-                params,
-                (
-                    split_log,
-                    move_log,
-                    merge_log,
-                    chain_swap_log,
-                    one_qubit_log,
-                    fiber_log,
-                    split_nbar,
-                    move_nbar,
-                    merge_nbar,
-                    chain_swap_nbar,
-                    heating_rate,
-                ),
-            )
-
-        heat: dict[int, float] = {
-            zone.zone_id: 0.0 for zone in self.program.machine.zones
-        }
+        heat: dict[int, float] = {zone.zone_id: 0.0 for zone in machine.zones}
         trap_sizes = self.trap_sizes
+        qubits_b = self.packed.qubits_b
         #: ions -> (fidelity, natural log); local entangler pricing cache.
         two_qubit_cache: dict[int, tuple[float, float]] = {}
         log_total = 0.0
 
-        for index, op in enumerate(self.program.operations):
-            op_class = op.__class__
-            if op_class is GateOp:
-                zone_id = op.zone
+        for index, record in enumerate(self.packed.records):
+            kind = record[0]
+            if kind == K_GATE:
+                zone_id = record[2]
                 background = -heating_rate * heat[zone_id]
-                if len(op.gate.qubits) == 1:
+                if qubits_b[record[1]] < 0:
                     log_total += one_qubit_log
                     log_total += background
                     if sink is not None:
@@ -757,35 +473,34 @@ class EventLedger:
                     if sink is not None:
                         sink(index, "two_qubit_gates", gate_log)
                         sink(index, "background_heat", background)
-            elif op_class is MoveOp:
+            elif kind == K_MOVE:
                 log_total += move_log
-                heat[op.destination_zone] += move_nbar
+                heat[record[3]] += move_nbar
                 if sink is not None:
                     sink(index, "shuttle_ops", move_log)
-            elif op_class is SplitOp:
+            elif kind == K_SPLIT:
                 log_total += split_log
-                heat[op.zone] += split_nbar
+                heat[record[2]] += split_nbar
                 if sink is not None:
                     sink(index, "shuttle_ops", split_log)
-            elif op_class is MergeOp:
+            elif kind == K_MERGE:
                 log_total += merge_log
-                heat[op.zone] += merge_nbar
+                heat[record[2]] += merge_nbar
                 if sink is not None:
                     sink(index, "shuttle_ops", merge_log)
-            elif op_class is ChainSwapOp:
+            elif kind == K_CHAIN_SWAP:
                 log_total += chain_swap_log
-                heat[op.zone] += chain_swap_nbar
+                heat[record[1]] += chain_swap_nbar
                 if sink is not None:
                     sink(index, "shuttle_ops", chain_swap_log)
-            elif op_class is FiberGateOp:
+            elif kind == K_FIBER:
+                zone_a = record[2]
+                zone_b = record[3]
                 charge = fiber_log
                 if zone_fiber_extra is not None:
-                    charge += (
-                        zone_fiber_extra[op.zone_a]
-                        + zone_fiber_extra[op.zone_b]
-                    )
-                background_a = -heating_rate * heat[op.zone_a]
-                background_b = -heating_rate * heat[op.zone_b]
+                    charge += zone_fiber_extra[zone_a] + zone_fiber_extra[zone_b]
+                background_a = -heating_rate * heat[zone_a]
+                background_b = -heating_rate * heat[zone_b]
                 log_total += charge
                 log_total += background_a
                 log_total += background_b
@@ -793,15 +508,13 @@ class EventLedger:
                     sink(index, "fiber_gates", charge)
                     sink(index, "background_heat", background_a)
                     sink(index, "background_heat", background_b)
-            elif op_class is SwapGateOp:
-                zone_a = op.zone_a
-                zone_b = op.zone_b
+            else:  # K_SWAP
+                zone_a = record[3]
+                zone_b = record[4]
                 if zone_a != zone_b:  # remote swap: three fiber MS gates (§3.3)
                     charge = fiber_log
                     if zone_fiber_extra is not None:
-                        charge += (
-                            zone_fiber_extra[zone_a] + zone_fiber_extra[zone_b]
-                        )
+                        charge += zone_fiber_extra[zone_a] + zone_fiber_extra[zone_b]
                     background_a = -heating_rate * heat[zone_a]
                     background_b = -heating_rate * heat[zone_b]
                     for _ in range(3):
@@ -835,8 +548,6 @@ class EventLedger:
                         if sink is not None:
                             sink(index, "two_qubit_gates", gate_log)
                             sink(index, "background_heat", background)
-            else:
-                raise TypeError(f"unknown op type {type(op).__name__}")
 
         return log_total, heat
 
@@ -901,14 +612,14 @@ class EventLedger:
         }
         if not collapsed:
             return
-        for index, (op, ions) in enumerate(
-            zip(self.program.operations, self.trap_sizes)
+        for index, (record, ions) in enumerate(
+            zip(self.packed.records, self.trap_sizes)
         ):
             if ions in collapsed:
-                if op.__class__ is GateOp:
+                if record[0] == K_GATE:
                     raise ExecutionError(
                         f"two-qubit gate fidelity collapsed to zero with "
-                        f"{ions} ions in zone {op.zone}",
+                        f"{ions} ions in zone {record[2]}",
                         index,
                     )
                 raise ExecutionError(
@@ -933,43 +644,34 @@ class EventLedger:
     def events(self, params: PhysicalParams | None = None) -> tuple[TimedEvent, ...]:
         """The priced event stream: one :class:`TimedEvent` per op."""
         params = params or PhysicalParams()
-        charges: list[list[tuple[str, float]]] = [
-            [] for _ in self.program.operations
-        ]
+        charges: list[list[tuple[str, float]]] = [[] for _ in range(len(self))]
 
         def sink(index: int, channel: str, value: float) -> None:
             charges[index].append((channel, value))
 
         self._fold_fidelity(params, sink)
         timing = self._timing(params)
-        move_time = move_duration_us(params.inter_zone_distance_um, params)
-        one_qubit_time = params.one_qubit_gate_time_us
-        two_qubit_time = params.two_qubit_gate_time_us
-        fiber_time = params.fiber_gate_time_us
         heat_deltas = {
-            SplitOp: params.split_nbar,
-            MoveOp: params.move_nbar,
-            MergeOp: params.merge_nbar,
-            ChainSwapOp: params.chain_swap_nbar,
+            K_SPLIT: params.split_nbar,
+            K_MOVE: params.move_nbar,
+            K_MERGE: params.merge_nbar,
+            K_CHAIN_SWAP: params.chain_swap_nbar,
         }
+        gates = self.packed.gate_table(self.program.circuit)
         events = []
-        for index, op in enumerate(self.program.operations):
-            kind, _, qubits, zones = _op_shape(
-                op, one_qubit_time, two_qubit_time, fiber_time, move_time, params
-            )
+        for index, record in enumerate(self.packed.records):
+            kind, qubits, zones = _describe(record, gates)
             start, duration, _ = timing.spans[index]
-            delta = heat_deltas.get(op.__class__)
-            if delta is None:
+            field = _HEATED_FIELD.get(record[0])
+            if field is None:
                 heated_zone, heat_delta = -1, 0.0
-            elif op.__class__ is MoveOp:
-                heated_zone, heat_delta = op.destination_zone, delta
             else:
-                heated_zone, heat_delta = op.zone, delta
+                heated_zone, heat_delta = record[field], heat_deltas[record[0]]
             events.append(
                 TimedEvent(
                     index=index,
                     kind=kind,
-                    qubits=tuple(qubits),
+                    qubits=qubits,
                     zones=zones,
                     ions=self.trap_sizes[index],
                     start_us=start,
@@ -983,18 +685,12 @@ class EventLedger:
 
     def records(self, params: PhysicalParams | None = None) -> list[dict]:
         """Timed, JSON-serialisable op records (the trace view)."""
-        params = params or PhysicalParams()
-        timing = self._timing(params)
-        move_time = move_duration_us(params.inter_zone_distance_um, params)
-        one_qubit_time = params.one_qubit_gate_time_us
-        two_qubit_time = params.two_qubit_gate_time_us
-        fiber_time = params.fiber_gate_time_us
+        timing = self._timing(params or PhysicalParams())
+        gates = self.packed.gate_table(self.program.circuit)
         records = []
-        for index, op in enumerate(self.program.operations):
-            kind, duration, qubits, zones = _op_shape(
-                op, one_qubit_time, two_qubit_time, fiber_time, move_time, params
-            )
-            start, _, end = timing.spans[index]
+        for index, record in enumerate(self.packed.records):
+            kind, qubits, zones = _describe(record, gates)
+            start, duration, end = timing.spans[index]
             records.append(
                 {
                     "index": index,
@@ -1013,79 +709,185 @@ def replay(program: Program) -> EventLedger:
     """The single legality-checked replay: program -> :class:`EventLedger`.
 
     Validates the initial placement, replays every op against the machine
-    (chain edges, capacities, shuttle adjacency, zone kinds), captures
-    the trap occupancy of every local entangler, and counts each op
+    (chain edges, capacities, shuttle adjacency, zone kinds, and the
+    machine's dead zones, severed edges and failed links), captures the
+    trap occupancy of every local entangler, and counts each op
     category.  Raises :class:`ExecutionError` on the first illegal op.
+
+    The replay reads packed records: the program's own
+    (:attr:`~repro.sim.program.ArrayProgram.packed_view`) while they are
+    authoritative, otherwise its op list encoded by
+    :meth:`~repro.sim.oparray.PackedOps.from_operations`.
     """
     program.validate_placement()
-    packed = getattr(program, "packed_view", None)
-    if packed is not None:
-        from .oparray import replay_packed
+    machine = program.machine
+    packed = program.packed_view
+    if packed is None:
+        packed = PackedOps.from_operations(
+            program.operations, program.circuit, machine.num_zones
+        )
+    maps = machine.topology_maps()
+    for zone_id in sorted(maps.dead_zones):
+        chain = program.initial_placement.get(zone_id)
+        if chain:
+            raise ExecutionError(
+                f"initial placement puts qubit(s) {sorted(chain)} in zone "
+                f"{zone_id}, which the fault model declares dead"
+            )
+    # Faults live in the tables: a dead zone has capacity 0 and hosts no
+    # gate or fiber work, and the adjacency lacks dead and severed edges.
+    zone_capacity = maps.zone_capacity
+    zone_allows_gates = maps.zone_allows_gates
+    zone_allows_fiber = maps.zone_allows_fiber
+    zone_module = maps.zone_module
+    blocked_links = maps.blocked_links
+    adjacent = _live_adjacency(machine, maps)
 
-        result = replay_packed(program, packed)
-        if result is not None:
-            trap_sizes, counts = result
-            return EventLedger(program, trap_sizes, counts, packed=packed)
-        # Illegal or unsupported stream: fall through to the object replay
-        # (materialising the ops) so errors carry the canonical messages.
-    state = _MachineReplay(program)
-    operations = program.operations
-    trap_sizes = [0] * len(operations)
+    chains: list[list[int]] = [[] for _ in zone_capacity]
+    location = [-1] * program.circuit.num_qubits  # -1: detached
+    transit = [-1] * program.circuit.num_qubits  # zone hovered over, or -1
+    for zone_id, chain in program.initial_placement.items():
+        chains[zone_id].extend(chain)
+        for qubit in chain:
+            location[qubit] = zone_id
 
+    gates = packed.gate_table(program.circuit)
+
+    def illegal(index: int) -> ExecutionError:
+        why = _why(packed.records[index], machine, gates, chains, location, transit)
+        return ExecutionError(why, index)
+
+    records = packed.records
+    qubits_a = packed.qubits_a
+    qubits_b = packed.qubits_b
+    trap_sizes = [0] * len(records)
+    detached = 0
     splits = moves = merges = chain_swaps = 0
     one_qubit_gates = two_qubit_gates = fiber_gates = 0
     inserted_swaps = remote_swaps = 0
-
-    state_split = state.split
-    state_move = state.move
-    state_merge = state.merge
-    state_chain_swap = state.chain_swap
-    state_check_local = state.check_local_gate
-    state_check_fiber = state.check_fiber_gate
-    state_apply_swap = state.apply_swap_gate
-    chains = state.chains
-
-    for index, op in enumerate(operations):
-        op_class = op.__class__
-        if op_class is GateOp:
-            ions = state_check_local(op, index)
-            if len(op.gate.qubits) == 1:
-                one_qubit_gates += 1
-            else:
-                two_qubit_gates += 1
-                trap_sizes[index] = ions
-        elif op_class is MoveOp:
-            state_move(op, index)
-            moves += 1
-        elif op_class is SplitOp:
-            state_split(op, index)
-            splits += 1
-        elif op_class is MergeOp:
-            state_merge(op, index)
-            merges += 1
-        elif op_class is ChainSwapOp:
-            state_chain_swap(op, index)
-            chain_swaps += 1
-        elif op_class is FiberGateOp:
-            state_check_fiber(op, index)
-            fiber_gates += 1
-        elif op_class is SwapGateOp:
-            inserted_swaps += 1
-            if op.zone_a != op.zone_b:
-                remote_swaps += 1
-            else:
-                trap_sizes[index] = len(chains[op.zone_a])
-            state_apply_swap(op, index)
-        else:
-            raise ExecutionError(
-                f"unknown operation type {type(op).__name__}", index
-            )
-
-    if state.in_transit:
+    try:
+        for index, record in enumerate(records):
+            kind = record[0]
+            if kind == K_GATE:
+                node = record[1]
+                zone_id = record[2]
+                if location[qubits_a[node]] != zone_id:
+                    raise illegal(index)
+                qubit_b = qubits_b[node]
+                if qubit_b < 0:
+                    one_qubit_gates += 1
+                else:
+                    if location[qubit_b] != zone_id or not zone_allows_gates[zone_id]:
+                        raise illegal(index)
+                    two_qubit_gates += 1
+                    trap_sizes[index] = len(chains[zone_id])
+            elif kind == K_MOVE:
+                qubit = record[1]
+                source = record[2]
+                destination = record[3]
+                if transit[qubit] != source or destination not in adjacent[source]:
+                    raise illegal(index)
+                transit[qubit] = destination
+                moves += 1
+            elif kind == K_SPLIT:
+                qubit = record[1]
+                zone_id = record[2]
+                if transit[qubit] != -1 or location[qubit] != zone_id:
+                    raise illegal(index)
+                chain = chains[zone_id]
+                position = chain.index(qubit)
+                if position != 0 and position != len(chain) - 1:
+                    raise illegal(index)
+                del chain[position]
+                location[qubit] = -1
+                transit[qubit] = zone_id
+                detached += 1
+                splits += 1
+            elif kind == K_MERGE:
+                qubit = record[1]
+                zone_id = record[2]
+                if transit[qubit] != zone_id:
+                    raise illegal(index)
+                chain = chains[zone_id]
+                if len(chain) >= zone_capacity[zone_id]:
+                    raise illegal(index)
+                if len(record) == 3:
+                    chain.append(qubit)
+                elif record[3] == "head":
+                    chain.insert(0, qubit)
+                else:
+                    raise illegal(index)
+                transit[qubit] = -1
+                location[qubit] = zone_id
+                detached -= 1
+                merges += 1
+            elif kind == K_CHAIN_SWAP:
+                chain = chains[record[1]]
+                position = record[2]
+                if not 0 <= position < len(chain) - 1:
+                    raise illegal(index)
+                chain[position], chain[position + 1] = (
+                    chain[position + 1],
+                    chain[position],
+                )
+                chain_swaps += 1
+            elif kind == K_FIBER:
+                node = record[1]
+                zone_a = record[2]
+                zone_b = record[3]
+                module_a = zone_module[zone_a]
+                module_b = zone_module[zone_b]
+                if (
+                    not (zone_allows_fiber[zone_a] and zone_allows_fiber[zone_b])
+                    or module_a == module_b
+                    or (blocked_links and _link_blocked(blocked_links, module_a, module_b))
+                    or location[qubits_a[node]] != zone_a
+                    or location[qubits_b[node]] != zone_b
+                ):
+                    raise illegal(index)
+                fiber_gates += 1
+            elif kind == K_SWAP:
+                qubit_a, qubit_b, zone_a, zone_b = record[1:]
+                if location[qubit_a] != zone_a or location[qubit_b] != zone_b:
+                    raise illegal(index)
+                if zone_a != zone_b:
+                    module_a = zone_module[zone_a]
+                    module_b = zone_module[zone_b]
+                    if (
+                        not (zone_allows_fiber[zone_a] and zone_allows_fiber[zone_b])
+                        or module_a == module_b
+                        or (
+                            blocked_links
+                            and _link_blocked(blocked_links, module_a, module_b)
+                        )
+                    ):
+                        raise illegal(index)
+                    remote_swaps += 1
+                else:
+                    if not zone_allows_gates[zone_a]:
+                        raise illegal(index)
+                    trap_sizes[index] = len(chains[zone_a])
+                inserted_swaps += 1
+                chain_a = chains[zone_a]
+                chain_b = chains[zone_b]
+                chain_a[chain_a.index(qubit_a)] = qubit_b
+                chain_b[chain_b.index(qubit_b)] = qubit_a
+                location[qubit_a] = zone_b
+                location[qubit_b] = zone_a
+            else:  # K_INVALID
+                raise illegal(index)
+    except IndexError:
+        # Encoded op lists are range-checked (kind 7); only hand-built
+        # records can name an id past the end of a table.
         raise ExecutionError(
-            f"qubits left detached at end of program: {sorted(state.in_transit)}"
+            f"record {record} names a zone, qubit or gate that does not exist",
+            index,
+        ) from None
+    if detached:
+        raise ExecutionError(
+            "qubits left detached at end of program: "
+            f"{[qubit for qubit, zone_id in enumerate(transit) if zone_id >= 0]}"
         )
-
     return EventLedger(
         program,
         trap_sizes,
@@ -1100,7 +902,152 @@ def replay(program: Program) -> EventLedger:
             inserted_swaps,
             remote_swaps,
         ),
+        packed,
     )
+
+
+def _link_blocked(blocked_links, module_a: int, module_b: int) -> bool:
+    if module_a > module_b:
+        module_a, module_b = module_b, module_a
+    return (module_a, module_b) in blocked_links
+
+
+def _live_adjacency(machine, maps) -> list[frozenset[int]]:
+    """Per-zone shuttle neighbours without dead zones or severed edges
+    (cached on the topology maps)."""
+    cached = getattr(maps, "_live_adjacency", None)
+    if cached is None:
+        live = machine.live_adjacency()
+        cached = [live[zone_id] for zone_id in range(len(maps.zone_capacity))]
+        object.__setattr__(maps, "_live_adjacency", cached)
+    return cached
+
+
+def _why(record, machine, gates, chains, location, transit) -> str:
+    """The error text of a record that failed a replay check.
+
+    Re-runs the record's checks in their documented order against the
+    replay state just before it, so each failure names its first broken
+    rule.  Runs only on the error path.
+    """
+    kind = record[0]
+    if kind == K_INVALID:
+        return record[1]
+    faults = machine.fault_model
+    dead = faults.dead_zones if faults is not None else ()
+
+    def found(qubit: int) -> int | None:
+        return location[qubit] if location[qubit] >= 0 else None
+
+    if kind == K_GATE:
+        gate = gates[record[1]]
+        zone_id = record[2]
+        for qubit in gate.qubits:
+            if location[qubit] != zone_id:
+                return (
+                    f"gate {gate} expects qubit {qubit} in zone {zone_id}, "
+                    f"found {found(qubit)}"
+                )
+        zone = machine.zone(zone_id)
+        if not zone.allows_gates:
+            return f"zone {zone_id} ({zone.kind.value}) cannot execute two-qubit gates"
+        return f"zone {zone_id} is dead (fault model); no gate can run there"
+    if kind == K_SPLIT:
+        qubit, zone_id = record[1], record[2]
+        if transit[qubit] >= 0:
+            return f"qubit {qubit} is already detached"
+        if location[qubit] != zone_id:
+            return f"qubit {qubit} is in zone {found(qubit)}, not {zone_id}"
+        return (
+            f"qubit {qubit} is at interior position "
+            f"{chains[zone_id].index(qubit)} of zone {zone_id} (chain swaps "
+            "required before split)"
+        )
+    if kind == K_MOVE or kind == K_MERGE:
+        qubit, zone_id = record[1], record[2]  # a move's source zone
+        at = transit[qubit]
+        if at < 0:
+            return f"qubit {qubit} is not detached"
+        if at != zone_id:
+            return f"qubit {qubit} is over zone {at}, not {zone_id}"
+        if kind == K_MOVE:
+            destination = record[3]
+            if destination not in machine.neighbours(zone_id):
+                return (
+                    f"zones {zone_id} and {destination} are not "
+                    "shuttle-adjacent"
+                )
+            if destination in dead:
+                return (
+                    f"zone {destination} is dead (fault model); qubit {qubit} "
+                    "cannot shuttle into it"
+                )
+            return f"shuttle edge {zone_id}-{destination} is severed (fault model)"
+        if zone_id in dead:
+            return (
+                f"zone {zone_id} is dead (fault model); qubit {qubit} cannot "
+                "merge into it"
+            )
+        capacity = machine.zone(zone_id).capacity
+        if len(chains[zone_id]) >= capacity:
+            return f"zone {zone_id} is full (capacity {capacity})"
+        return f"bad merge side {record[3]!r}"
+    if kind == K_CHAIN_SWAP:
+        zone_id, position = record[1], record[2]
+        return (
+            f"chain swap position {position} out of range for zone {zone_id} "
+            f"(chain length {len(chains[zone_id])})"
+        )
+    if kind == K_FIBER:
+        zone_a, zone_b = record[2], record[3]
+        link = _link_error(machine, faults, zone_a, zone_b, "fiber gate")
+        if link is not None:
+            return link
+        qubit_a, qubit_b = gates[record[1]].qubits
+        if location[qubit_a] != zone_a:
+            return (
+                f"fiber gate expects qubit {qubit_a} in zone {zone_a}, "
+                f"found {found(qubit_a)}"
+            )
+        return (
+            f"fiber gate expects qubit {qubit_b} in zone {zone_b}, "
+            f"found {found(qubit_b)}"
+        )
+    qubit_a, qubit_b, zone_a, zone_b = record[1:]  # K_SWAP
+    for qubit, zone_id in ((qubit_a, zone_a), (qubit_b, zone_b)):
+        if location[qubit] != zone_id:
+            return f"swap expects qubit {qubit} in zone {zone_id}, found {found(qubit)}"
+    if zone_a != zone_b:
+        return _link_error(machine, faults, zone_a, zone_b, "remote swap")
+    return f"zone {zone_a} cannot execute gates"
+
+
+def _link_error(machine, faults, zone_a: int, zone_b: int, what: str) -> str | None:
+    """Why ``what`` (a fiber gate or remote swap) cannot run between two
+    zones, or None when the link is usable."""
+    optical_a = machine.zone(zone_a)
+    optical_b = machine.zone(zone_b)
+    if not (optical_a.allows_fiber and optical_b.allows_fiber):
+        if what == "fiber gate":
+            return (
+                f"fiber gate needs optical zones, got {optical_a.kind.value} "
+                f"and {optical_b.kind.value}"
+            )
+        return "remote swap endpoints must be optical zones"
+    if optical_a.module_id == optical_b.module_id:
+        return f"{what} endpoints must be in different modules"
+    if faults is None:
+        return None
+    dead = faults.dead_zones
+    if zone_a in dead or zone_b in dead:
+        return (
+            f"optical zone {zone_a if zone_a in dead else zone_b} is dead "
+            "(fault model)"
+        )
+    if faults.blocks_link(optical_a.module_id, optical_b.module_id):
+        low, high = sorted((optical_a.module_id, optical_b.module_id))
+        return f"optical link {low}-{high} is failed (fault model)"
+    return None
 
 
 def _resolve_params(params) -> PhysicalParams:

@@ -9,12 +9,12 @@ legality, and prices the replay under §4's model: Eq. 1 for trap ops,
 multiplied by the background fidelity ``B_i = exp(-k·heat_i)`` of the
 zone(s) involved.
 
-Since the pricing-engine refactor this module is a thin front door over
-:mod:`repro.sim.events`: ``execute(program, params)`` is exactly
-``replay(program).reprice(params)`` — one legality-checked replay
-producing an :class:`~repro.sim.events.EventLedger`, then one pricing
-fold.  Keep the ledger around to price the *same* replay under many
-parameter sets (:meth:`~repro.sim.events.EventLedger.reprice`,
+This module is a thin front door over :mod:`repro.sim.events`:
+``execute(program, params)`` is exactly ``replay(program).reprice(params)``
+— one legality-checked replay of the program's packed records producing
+an :class:`~repro.sim.events.EventLedger`, then one pricing fold.  Keep
+the ledger around to price the *same* replay under many parameter sets
+(:meth:`~repro.sim.events.EventLedger.reprice`,
 :func:`~repro.sim.events.price_many`) without re-validating — the Fig 13
 perfect-gate / perfect-shuttle counterfactuals in API form.  The pricing
 tables themselves live in :mod:`repro.sim.events` and nowhere else.
@@ -23,7 +23,7 @@ tables themselves live in :mod:`repro.sim.events` and nowhere else.
 from __future__ import annotations
 
 from ..physics import PhysicalParams
-from .events import ExecutionError, _MachineReplay, replay  # noqa: F401
+from .events import ExecutionError, replay
 from .metrics import ExecutionReport
 from .program import Program
 

@@ -40,6 +40,13 @@ class Program:
     final_placement: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @property
+    def packed_view(self) -> "PackedOps | None":
+        """Packed records carrying the op stream, when the program has
+        them (see :class:`ArrayProgram`); the replay encodes
+        ``operations`` otherwise."""
+        return None
+
+    @property
     def shuttle_count(self) -> int:
         """Number of inter-zone moves (the paper's headline shuttle metric)."""
         return sum(1 for op in self.operations if isinstance(op, MoveOp))
@@ -58,7 +65,14 @@ class Program:
     def validate_placement(self) -> None:
         """Check the initial placement is a partition within capacities."""
         seen: set[int] = set()
+        num_zones = self.machine.num_zones
+        num_qubits = self.circuit.num_qubits
         for zone_id, chain in self.initial_placement.items():
+            if not 0 <= zone_id < num_zones:
+                raise ValueError(
+                    f"initial placement names zone {zone_id}, which does not "
+                    f"exist (the machine has {num_zones} zones)"
+                )
             zone = self.machine.zone(zone_id)
             if len(chain) > zone.capacity:
                 raise ValueError(
@@ -66,6 +80,11 @@ class Program:
                     f"({len(chain)} > {zone.capacity})"
                 )
             for qubit in chain:
+                if not 0 <= qubit < num_qubits:
+                    raise ValueError(
+                        f"initial placement names qubit {qubit}, which does "
+                        f"not exist (the circuit has {num_qubits} qubits)"
+                    )
                 if qubit in seen:
                     raise ValueError(f"qubit {qubit} placed twice")
                 seen.add(qubit)
@@ -77,19 +96,19 @@ class Program:
 class ArrayProgram(Program):
     """A :class:`Program` whose op stream lives in packed int records.
 
-    Produced by the array-core scheduler and the grid baselines: the
-    schedule is carried as a
+    Produced by the array-core scheduler, the grid baselines and the
+    multi-programming batch merge: the schedule is carried as a
     :class:`~repro.sim.oparray.PackedOps` and the ``operations`` list of
-    op dataclasses is only materialised on first access.  Pricing-side
-    consumers (:func:`repro.sim.events.replay` and the ledger folds) read
-    the packed form directly through :attr:`packed_view`, so a
-    compile + execute round trip never builds a single op object.
+    op dataclasses is only materialised on first access.
+    :func:`repro.sim.events.replay` reads the packed form directly
+    through :attr:`packed_view`, so a compile + execute round trip never
+    builds a single op object.
 
     Once ``operations`` has been materialised (or assigned), the packed
     view is withdrawn: the list is then the single mutable source of
-    truth, exactly like a plain :class:`Program` — callers that edit the
-    op stream (tests corrupting an op, multi-programming rewrites) get
-    object-replay semantics automatically.
+    truth, exactly like a plain :class:`Program`, and the replay encodes
+    it afresh — callers that edit the op stream (tests corrupting an op)
+    are replayed as edited.
     """
 
     def __init__(
@@ -114,7 +133,7 @@ class ArrayProgram(Program):
         self._materialized: list[Operation] | None = None
 
     @property
-    def packed_view(self) -> "PackedOps | None":
+    def packed_view(self) -> "PackedOps | None":  # type: ignore[override]
         """The packed records while they are still authoritative.
 
         ``None`` once ``operations`` has been materialised — from then on

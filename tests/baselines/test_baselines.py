@@ -13,8 +13,7 @@ from repro.baselines import (
 from repro.circuits import GateError, QuantumCircuit
 from repro.core.state import RoutingError
 from repro.hardware import QCCDGridMachine
-from repro.sim import FiberGateOp, MoveOp, execute, verify_program
-from repro.sim.oparray import replay_packed
+from repro.sim import FiberGateOp, MoveOp, execute, replay, verify_program
 from repro.workloads import get_benchmark
 
 ALL_BASELINES = [MuraliCompiler, DaiCompiler, MqtLikeCompiler]
@@ -63,7 +62,8 @@ class TestCorrectness:
         program = compiler_cls().compile(get_benchmark("QFT_n32"), small_grid_2x2)
         packed = program.packed_view
         assert packed is not None
-        assert replay_packed(program, packed) is not None
+        assert replay(program).packed is packed
+        assert program.packed_view is packed
 
     @pytest.mark.parametrize("compiler_cls", ALL_BASELINES)
     def test_wide_gate_rejected(self, compiler_cls, tiny_grid):

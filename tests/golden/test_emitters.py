@@ -5,10 +5,11 @@ frozen reference; this corpus pins everything else that emits ops — the
 three grid baselines and the MUSS-TI ablation arms — on the cells the
 paper's Table 2 and Fig 6 compile, plus each baseline on a faulted grid
 (a dead zone and a severed edge), MUSS-TI on an EML machine under two
-fault profiles (``mixed-1`` prices a degraded entangler), and one
-two-tenant :func:`~repro.multiprog.pack_batch` merge.  Each entry stores the sha256 of the canonical program bytes with
-the shuttle count, makespan and log10 fidelity, so a diff reads as
-numbers; a cell that raises stores its error instead.
+fault profiles (``mixed-1`` prices a degraded entangler), and two
+two-tenant :func:`~repro.multiprog.pack_batch` merges.  Each entry
+stores the sha256 of the canonical program bytes with the shuttle
+count, makespan and log10 fidelity, so a diff reads as numbers; a cell
+that raises stores its error instead.
 
 Regenerate after an *intentional* schedule change with::
 
@@ -21,11 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from program_bytes import program_bytes
-
-from dataclasses import replace
 
 from repro.analysis.experiments import fig6, table2
 from repro.analysis.runs import benchmark_circuit, eml_for, small_grid
@@ -127,8 +127,6 @@ def _entry(compiler: str, app: str, machine_label: str) -> dict:
         program = _compile(compiler, app, machine_label)
     except (MachineError, RoutingError) as error:  # a failure is pinned too
         return {"error": f"{type(error).__name__}: {error}"}
-    # Execute first: it reads the packed stream when there is one, and
-    # ``program_bytes`` materialises the op objects.
     report = execute(program)
     return {
         "sha256": hashlib.sha256(program_bytes(program)).hexdigest(),

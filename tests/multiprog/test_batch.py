@@ -6,8 +6,10 @@ import math
 
 import pytest
 
+import repro
+from repro.circuits import Gate
 from repro.multiprog import BatchJob, RegionError, pack_batch, slice_ledger
-from repro.sim import reprice
+from repro.sim import GateOp, Program, replay, reprice, verify_program
 
 
 def two_tenant_schedule():
@@ -16,6 +18,21 @@ def two_tenant_schedule():
         BatchJob("b", "QFT_n16", tenant="bob"),
     ]
     return pack_batch(jobs, "eml:16:2")
+
+
+class _InsertingCompiler:
+    """Returns op objects, led by one compiler-inserted ``h`` on qubit 0."""
+
+    def compile(self, circuit, machine, placement=None):
+        program = repro.MussTiCompiler().compile(circuit, machine, placement)
+        zone = program.initial_zone_of(0)
+        return Program(
+            machine,
+            circuit,
+            program.initial_placement,
+            [GateOp(Gate("h", (0,)), zone)] + program.operations,
+            compiler_name="inserting",
+        )
 
 
 class TestPackBatch:
@@ -104,3 +121,21 @@ class TestSliceLedger:
         ledger = schedule.ledger()
         with pytest.raises(ValueError):
             slice_ledger(ledger, schedule.owners[:-1], 2)
+
+
+def test_tenants_returning_op_objects_keep_inserted_gates():
+    """A tenant program without packed records is encoded and lifted too;
+    its compiler-inserted gate lands on the tenant's own qubit 0."""
+    name = "batch-test-inserting"
+    if name not in repro.default_registry():
+        repro.register_compiler(name, summary="test-only")(_InsertingCompiler)
+    jobs = [BatchJob("a", "GHZ_n16", compiler=name), BatchJob("b", "QFT_n16", compiler=name)]
+    schedule = pack_batch(jobs, "eml:16:2")
+    verify_program(schedule.program)
+    ledger = replay(schedule.program)
+    firsts = [schedule.owners.index(owner) for owner in (0, 1)]
+    events = ledger.events()
+    assert [events[index].kind for index in firsts] == ["gate:h", "gate:h"]
+    assert [events[index].qubits for index in firsts] == [(0,), (16,)]
+    tenants = [replay(placement.program) for placement in schedule.placements]
+    assert ledger.one_qubit_gate_count == sum(t.one_qubit_gate_count for t in tenants)

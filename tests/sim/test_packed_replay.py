@@ -1,12 +1,13 @@
-"""The packed replay's legality checks, one illegal stream per check.
+"""The replay's legality checks, one illegal packed stream per check.
 
-The packed replay (:func:`repro.sim.oparray.replay_packed`) verifies every
-program on a pristine machine: MUSS-TI's array core and the grid baselines
-both emit packed records.  Each stream below is legal except for one op,
-and — where the op's effect lets the replay carry on — the stream
+:func:`repro.sim.replay` checks every program on packed records:
+MUSS-TI's array core and the grid baselines emit them, and op dataclass
+lists are encoded into them.  Each stream below is legal except for one
+op, and — where the op's effect lets the replay carry on — the stream
 completes legally after it, so a weakened check shows up as a ledger
-instead of an error.  Rejection must surface from :func:`repro.sim.replay`
-as the object replay's :class:`ExecutionError`, text included.
+instead of an error.  Rejection must raise :class:`ExecutionError` with
+the pinned text and op index, from the records themselves (the program
+keeps its packed view) and from the same stream as op dataclasses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.circuits.dag import dag_arrays
-from repro.sim import ExecutionError, Program, replay
+from repro.sim import ExecutionError, MergeOp, MoveOp, Program, SplitOp, replay
 from repro.sim.oparray import (
     K_CHAIN_SWAP,
     K_FIBER,
@@ -25,7 +26,6 @@ from repro.sim.oparray import (
     K_SPLIT,
     K_SWAP,
     PackedOps,
-    replay_packed,
 )
 from repro.sim.program import ArrayProgram
 
@@ -79,7 +79,7 @@ CASES = {
 }
 
 
-#: case -> (op index, error text), captured from the object replay.
+#: case -> (op index, error text).
 EXPECTED = {
     "chain_swap_out_of_range": (
         0, "op #0: chain swap position -1 out of range for zone 0 (chain length 2)"
@@ -137,15 +137,11 @@ def test_packed_replay_rejects(case: str, request: pytest.FixtureRequest) -> Non
     fixture, placement, records = CASES[case]
     machine = request.getfixturevalue(fixture)
     array_program, object_program = _programs(machine, placement, records)
-    with pytest.raises(ExecutionError) as expected:
-        replay(object_program)
-
-    assert replay_packed(array_program, array_program.packed_view) is None
-    with pytest.raises(ExecutionError) as raised:
-        replay(array_program)
-    assert str(raised.value) == str(expected.value)
-    assert raised.value.op_index == expected.value.op_index
-    assert (raised.value.op_index, str(raised.value)) == EXPECTED[case]
+    for program in (array_program, object_program):
+        with pytest.raises(ExecutionError) as raised:
+            replay(program)
+        assert (raised.value.op_index, str(raised.value)) == EXPECTED[case]
+    assert array_program.packed_view is not None  # no op objects were built
 
 
 def test_legal_stream_replays_packed(tiny_grid) -> None:
@@ -156,6 +152,38 @@ def test_legal_stream_replays_packed(tiny_grid) -> None:
         [(K_GATE, 0, 0), (K_SPLIT, 1, 0), (K_MOVE, 1, 0, 1), (K_MERGE, 1, 1),
          (K_SPLIT, 0, 0), (K_MOVE, 0, 0, 1), (K_MERGE, 0, 1), (K_GATE, 1, 1)],
     )
-    assert replay_packed(array_program, array_program.packed_view) is not None
     ledger = replay(array_program)
+    assert ledger.packed is array_program.packed_view
     assert len(ledger) == 8
+
+
+class _Teleport:
+    """Not an op type the replay knows."""
+
+
+@pytest.mark.parametrize(
+    ("ops", "expected"),
+    [
+        (
+            [SplitOp(0, 0), MoveOp(0, 0, 1), MergeOp(0, 1, side="middle")],
+            (2, "op #2: bad merge side 'middle'"),
+        ),
+        # A head merge puts the ion before qubit 1, which is then interior.
+        (
+            [SplitOp(0, 0), MoveOp(0, 0, 1), MergeOp(0, 1, side="head"), SplitOp(1, 1)],
+            (
+                3,
+                "op #3: qubit 1 is at interior position 1 of zone 1 (chain swaps "
+                "required before split)",
+            ),
+        ),
+        ([_Teleport()], (0, "op #0: unknown operation type _Teleport")),
+    ],
+)
+def test_op_list_forms_rejected(tiny_grid, ops, expected) -> None:
+    """Ops only the dataclass form can express are encoded and checked too."""
+    circuit = QuantumCircuit(3, name="ops")
+    program = Program(tiny_grid, circuit, {0: (0,), 1: (1, 2)}, ops)
+    with pytest.raises(ExecutionError) as raised:
+        replay(program)
+    assert (raised.value.op_index, str(raised.value)) == expected

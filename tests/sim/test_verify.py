@@ -7,9 +7,14 @@ import pytest
 from repro.circuits import Gate, QuantumCircuit
 from repro.core import MussTiCompiler
 from repro.sim import (
+    ChainSwapOp,
     FiberGateOp,
     GateOp,
+    MergeOp,
+    MoveOp,
     Program,
+    SplitOp,
+    SwapGateOp,
     VerificationError,
     is_valid,
     verify_program,
@@ -99,3 +104,73 @@ class TestCatchesBadPrograms:
             circuit.cx(q, 9)
         program = MussTiCompiler().compile(circuit, two_modules_cap8)
         verify_program(program)
+
+
+ZONE_99 = "zone 99 does not exist (the machine has 4 zones)"
+QUBIT_99 = "qubit 99 does not exist (the circuit has 4 qubits)"
+
+
+class TestRejectsIdsTheMachineLacks:
+    """Every op kind naming a zone or qubit id out of range is a
+    verification failure with its op index, not a lookup crash."""
+
+    @pytest.mark.parametrize(
+        ("op", "message"),
+        [
+            (GateOp(Gate("h", (0,)), 99), ZONE_99),
+            (GateOp(Gate("h", (99,)), 0), QUBIT_99),
+            (FiberGateOp(Gate("cx", (0, 1)), 0, 99), ZONE_99),
+            (SplitOp(0, 99), ZONE_99),
+            (SplitOp(99, 0), QUBIT_99),
+            (MoveOp(0, 0, 99), ZONE_99),
+            (MergeOp(0, 99), ZONE_99),
+            (MergeOp(0, -1), "zone -1 does not exist (the machine has 4 zones)"),
+            (ChainSwapOp(99, 0), ZONE_99),
+            (ChainSwapOp(-1, 0), "zone -1 does not exist (the machine has 4 zones)"),
+            (SwapGateOp(0, 2, 0, 99), ZONE_99),
+            (SwapGateOp(0, 99, 0, 1), QUBIT_99),
+            (GateOp(Gate("ccx", (0, 1, 2)), 0), "gate ccx [0, 1, 2] acts on 3 qubits"),
+        ],
+        ids=[
+            "gate-zone",
+            "gate-qubit",
+            "fiber-zone",
+            "split-zone",
+            "split-qubit",
+            "move-zone",
+            "merge-zone",
+            "merge-negative-zone",
+            "chain-swap-zone",
+            "chain-swap-negative-zone",
+            "swap-zone",
+            "swap-qubit",
+            "wide-gate",
+        ],
+    )
+    def test_op_rejected(self, tiny_grid, op, message):
+        circuit = QuantumCircuit(4, name="ids")
+        program = Program(tiny_grid, circuit, {0: (0, 1), 1: (2, 3)}, [op])
+        with pytest.raises(VerificationError) as raised:
+            verify_program(program)
+        assert str(raised.value) == f"physical legality: op #0: {message}"
+        assert not is_valid(program)
+
+    def test_earlier_illegal_op_reports_first(self, tiny_grid):
+        circuit = QuantumCircuit(4, name="ids")
+        ops = [MoveOp(0, 0, 1), ChainSwapOp(99, 0)]
+        program = Program(tiny_grid, circuit, {0: (0, 1), 1: (2, 3)}, ops)
+        with pytest.raises(VerificationError, match="op #0: qubit 0 is not detached"):
+            verify_program(program)
+
+    def test_placement_zone_rejected(self, tiny_grid):
+        circuit = QuantumCircuit(2, name="ids")
+        program = Program(tiny_grid, circuit, {0: (0,), 99: (1,)}, [])
+        with pytest.raises(VerificationError, match="names zone 99, which does not"):
+            verify_program(program)
+        assert not is_valid(program)
+
+    def test_placement_qubit_rejected(self, tiny_grid):
+        circuit = QuantumCircuit(2, name="ids")
+        program = Program(tiny_grid, circuit, {0: (0, 1, 5)}, [])
+        with pytest.raises(VerificationError, match="names qubit 5, which does not"):
+            verify_program(program)
