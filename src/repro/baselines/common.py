@@ -10,7 +10,7 @@ index to a higher one, so the lowest ready gate is always the next one in
 program order: the FCFS loop is a plain walk over the circuit.
 
 They reuse :class:`~repro.core.state.MachineState` for chain bookkeeping and
-packed op emission, and return an :class:`~repro.sim.program.ArrayProgram`,
+packed op emission, and return a :class:`~repro.sim.program.Program`,
 so their schedules replay and price on the same packed path as MUSS-TI's:
 the comparison differs only in policy, exactly as in the paper.
 """
@@ -23,7 +23,7 @@ from ..circuits import Gate, QuantumCircuit, validate_native
 from ..core.state import MachineState, RoutingError
 from ..hardware import Machine
 from ..sim.oparray import PackedOps
-from ..sim.program import ArrayProgram
+from ..sim.program import Program
 
 
 def block_placement(circuit: QuantumCircuit, machine: Machine) -> dict[int, tuple[int, ...]]:
@@ -55,7 +55,7 @@ class GridCompilerBase:
         circuit: QuantumCircuit,
         machine: Machine,
         initial_placement: dict[int, tuple[int, ...]] | None = None,
-    ) -> ArrayProgram:
+    ) -> Program:
         started = time.perf_counter()
         validate_native(circuit)
         if initial_placement is None:
@@ -69,11 +69,11 @@ class GridCompilerBase:
                     self.resolve(state, gate)
                 state.emit_local_gate(gate, node)
         elapsed = time.perf_counter() - started
-        return ArrayProgram(
+        return Program(
             machine=machine,
             circuit=circuit,
             initial_placement=dict(initial_placement),
-            packed=PackedOps.for_circuit(state.records, circuit),
+            operations=PackedOps.for_circuit(state.records, circuit),
             compiler_name=self.name,
             compile_time_s=elapsed,
             metadata={key: float(value) for key, value in state.stats.items()},

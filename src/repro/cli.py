@@ -41,6 +41,7 @@ import argparse
 import json
 import os
 import sys
+import textwrap
 import time
 
 from .analysis import format_fidelity, render_table
@@ -71,12 +72,22 @@ from .sim import execute, fidelity_breakdown, render_breakdown, replay, verify_l
 from .sim.trace import render_timeline, save_trace
 from .workloads import available_benchmarks, get_benchmark
 
-#: Legacy ``--params`` choices, mapped onto physics-profile specs.
-PARAMS = {
-    "default": "table1",
-    "perfect-gate": "perfect-gate",
-    "perfect-shuttle": "perfect-shuttle",
-}
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help text at spaces only, so a registered name such as
+    ``perfect-shuttle`` or ``muss-ti`` is never split across lines."""
+
+    def _split_lines(self, text: str, width: int) -> list[str]:
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (and, through ``add_subparsers``, subcommand
+    parsers) using :class:`_HelpFormatter`."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        kwargs.setdefault("formatter_class", _HelpFormatter)
+        super().__init__(*args, **kwargs)
 
 
 def _machine_spec_help() -> str:
@@ -129,7 +140,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         machine = resolve_machine(args.machine, circuit.num_qubits)
         overrides = parse_option_assignments(args.set or [])
         compiler = resolve_compiler(args.compiler, overrides)
-        params = resolve_physics(args.physics or PARAMS[args.params])
+        params = resolve_physics(args.physics)
     except (ValueError, KeyError) as error:
         # Bad workload name or size, bad machine spec, unknown compiler,
         # bad physics profile, bad spec/--set key or value: clean
@@ -792,7 +803,7 @@ BENCH_SUBCOMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro",
         description="MUSS-TI reproduction command line",
     )
@@ -826,12 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_physics_flag(compile_parser)
-    compile_parser.add_argument(
-        "--params",
-        choices=sorted(PARAMS),
-        default="default",
-        help="deprecated alias of --physics (named profiles only)",
-    )
     compile_parser.add_argument(
         "--json",
         action="store_true",

@@ -41,7 +41,7 @@ class MachineState:
     #: The :class:`~repro.sim.oparray.PackedOps` attached by the array-core
     #: scheduler (:mod:`repro.core.arraycore`); ``records`` stays empty
     #: then and the pipeline builds its
-    #: :class:`~repro.sim.program.ArrayProgram` from this.
+    #: :class:`~repro.sim.program.Program` from this.
     packed_ops = None
 
     def __init__(

@@ -114,16 +114,19 @@ def _faulted_machine(machine, model: FaultModel):
 
 def committed_gate_indices(ledger, params, at_us: float) -> set[int]:
     """Circuit indices of gates whose timed event completes by *at_us*."""
-    from ..sim.ops import FiberGateOp, GateOp
+    from ..sim.oparray import K_FIBER, K_GATE
 
-    operations = ledger.program.operations
+    packed = ledger.packed
+    num_gates = len(ledger.program.circuit.gates)
     committed: set[int] = set()
     for event in ledger.events(params):
         if event.start_us + event.duration_us > at_us:
             continue
-        op = operations[event.index]
-        if isinstance(op, (GateOp, FiberGateOp)) and op.circuit_index >= 0:
-            committed.add(op.circuit_index)
+        record = packed.records[event.index]
+        if record[0] == K_GATE or record[0] == K_FIBER:
+            index = packed.circuit_index(record[1], num_gates)
+            if index >= 0:
+                committed.add(index)
     return committed
 
 

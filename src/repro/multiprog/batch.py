@@ -9,7 +9,7 @@ MUSS-TI pipeline neither knows nor cares that its machine is a slice of
 a bigger one.  The per-region programs' packed records are then lifted
 into the machine frame (zone ids through the region's zone map, qubit
 and gate indices offset per tenant) and concatenated into one
-machine-wide :class:`~repro.sim.program.ArrayProgram`.
+machine-wide :class:`~repro.sim.program.Program`.
 
 Concatenation *is* interleaving here: the ledger's timing fold starts an
 op when its qubits and blocking zones are free, and disjoint regions
@@ -48,7 +48,7 @@ from ..sim.oparray import (
     K_SWAP,
     PackedOps,
 )
-from ..sim.program import ArrayProgram, Program
+from ..sim.program import Program
 from ..workloads import get_benchmark
 from .policies import Policy, resolve_policy
 from .regions import Region, RegionAllocator, RegionError
@@ -132,25 +132,23 @@ def _lift_records(
     qubit_offset: int,
     gate_offset: int,
     extra_offset: int,
-) -> tuple[list[tuple], list[Gate]]:
+) -> tuple[list[tuple], list[Gate], list[int]]:
     """Lift a region-frame program's packed records into the machine frame.
 
     ``zone_of`` maps region zone ids to machine zone ids.  Circuit gate
     nodes move by ``gate_offset``; the nodes of gates the tenant's
     circuit does not hold (a compiler that returns op objects may insert
-    some) move by ``extra_offset``.  Returns the records and those extra
-    gates on their machine-frame qubits.
+    some) move by ``extra_offset``.  Returns the records, those extra
+    gates on their machine-frame qubits, and their claims (a claimed
+    circuit slot moves by ``gate_offset``).
     """
     packed = program.packed_view
-    if packed is None:
-        packed = PackedOps.from_operations(
-            program.operations, program.circuit, program.machine.num_zones
-        )
     num_gates = len(program.circuit.gates)
     extra_gates = [
         gate.on(*(q + qubit_offset for q in gate.qubits))
         for gate in packed.gate_table(program.circuit)[num_gates:]
     ]
+    claims = [claim + gate_offset if claim >= 0 else claim for claim in packed.claims]
     lifted = []
     append = lifted.append
     for record in packed.records:
@@ -179,7 +177,7 @@ def _lift_records(
             )
         else:  # K_INVALID: the combined replay raises its text
             append(record)
-    return lifted, extra_gates
+    return lifted, extra_gates, claims
 
 
 def _lift_placement(
@@ -218,6 +216,7 @@ def _combine(
     combined_circuit = QuantumCircuit(max(total_qubits, 1), name="multiprog")
     records: list[tuple] = []
     extra_gates: list[Gate] = []
+    claims: list[int] = []
     owners: list[int] = []
     initial_placement: dict[int, tuple[int, ...]] = {}
     final_placement: dict[int, tuple[int, ...]] = {}
@@ -227,7 +226,7 @@ def _combine(
         offset = placement.qubit_offset
         for gate in placement.program.circuit.gates:
             combined_circuit.append(gate.on(*(q + offset for q in gate.qubits)))
-        lifted, extras = _lift_records(
+        lifted, extras, extra_claims = _lift_records(
             placement.program,
             placement.region.zone_ids,
             offset,
@@ -236,6 +235,7 @@ def _combine(
         )
         records.extend(lifted)
         extra_gates.extend(extras)
+        claims.extend(extra_claims)
         owners.extend([index] * len(lifted))
         initial_placement.update(
             _lift_placement(placement.program.initial_placement, zone_map, offset)
@@ -246,11 +246,11 @@ def _combine(
             )
         compile_time_s += placement.program.compile_time_s
 
-    program = ArrayProgram(
+    program = Program(
         machine=machine,
         circuit=combined_circuit,
         initial_placement=initial_placement,
-        packed=PackedOps.for_circuit(records, combined_circuit, extra_gates),
+        operations=PackedOps.for_circuit(records, combined_circuit, extra_gates, claims),
         compiler_name="multiprog",
         compile_time_s=compile_time_s,
         metadata={"tenants": float(len(placements))},

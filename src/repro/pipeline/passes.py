@@ -32,7 +32,7 @@ from ..core.arraycore import schedule
 from ..core.config import MussTiConfig
 from ..core.mapping import sabre_placement, trivial_placement
 from ..hardware import Machine
-from ..sim.program import ArrayProgram
+from ..sim.program import Program
 from .context import CompileContext, CompileResult
 
 
@@ -213,11 +213,11 @@ class PassPipeline:
                 f"pipeline {self.name!r} produced no schedule "
                 f"(passes: {self.describe() or 'none'}); add a SchedulingPass"
             )
-        program = ArrayProgram(
+        program = Program(
             machine=machine,
             circuit=circuit,
             initial_placement=dict(context.placement),
-            packed=state.packed_ops,
+            operations=state.packed_ops,
             compiler_name=self.name,
             compile_time_s=time.perf_counter() - started,
             metadata={key: float(value) for key, value in state.stats.items()},

@@ -16,8 +16,7 @@ fold over that ledger under a :class:`~repro.physics.PhysicalParams`:
   under any physics profile, **without re-validating**.
 
 The replay, the timing fold and the fidelity fold exist once each, all
-over packed records; op dataclass lists are encoded before the replay
-(:meth:`~repro.sim.oparray.PackedOps.from_operations`).  The per-op
+over the packed records every program holds.  The per-op
 duration and fidelity-charge tables live here and only here;
 ``breakdown.py`` and ``trace.py`` carry no pricing knowledge of their
 own, so the three views can never drift apart again.
@@ -714,18 +713,12 @@ def replay(program: Program) -> EventLedger:
     trap occupancy of every local entangler, and counts each op
     category.  Raises :class:`ExecutionError` on the first illegal op.
 
-    The replay reads packed records: the program's own
-    (:attr:`~repro.sim.program.ArrayProgram.packed_view`) while they are
-    authoritative, otherwise its op list encoded by
-    :meth:`~repro.sim.oparray.PackedOps.from_operations`.
+    The replay reads the program's packed records
+    (:attr:`~repro.sim.program.Program.packed_view`).
     """
     program.validate_placement()
     machine = program.machine
     packed = program.packed_view
-    if packed is None:
-        packed = PackedOps.from_operations(
-            program.operations, program.circuit, machine.num_zones
-        )
     maps = machine.topology_maps()
     for zone_id in sorted(maps.dead_zones):
         chain = program.initial_placement.get(zone_id)

@@ -1,4 +1,4 @@
-"""Packed op streams: the one schedule representation that is replayed.
+"""Packed op streams: the one schedule representation a program holds.
 
 The array-core scheduler (:mod:`repro.core.arraycore`) and the grid
 baselines (through :class:`~repro.core.state.MachineState`) emit their
@@ -9,11 +9,12 @@ holds that stream: one small tuple of ints per op, tagged by a kind code,
 plus the per-gate operand arrays needed to price gates without touching
 :class:`~repro.circuits.Gate` objects.
 
-:func:`repro.sim.events.replay` replays and prices packed records only.
-A program whose op list was built or edited as dataclasses is encoded
-first (:meth:`PackedOps.from_operations`, the inverse of
-:meth:`PackedOps.materialize`); the dataclasses remain the public
-construction and decode view (:attr:`~repro.sim.program.Program.operations`).
+Every :class:`~repro.sim.program.Program` holds one: a program built
+from an op dataclass list is encoded once, by its constructor
+(:meth:`PackedOps.from_operations`, the exact inverse of
+:meth:`PackedOps.materialize`).  The replay, the pricing folds and the
+verifier read the records; the dataclasses remain the construction and
+read-only decode view (:attr:`~repro.sim.program.Program.operations`).
 
 Kind codes (first element of every record)::
 
@@ -26,11 +27,11 @@ Kind codes (first element of every record)::
     5 FiberGateOp(gate, zone_a, zone_b, node) -> (5, node, zone_a, zone_b)
     6 SwapGateOp(qubit_a, qubit_b, zone_a, zone_b)
                                            -> (6, qubit_a, qubit_b, zone_a, zone_b)
-    7 an op the records cannot carry       -> (7, error text)
+    7 an op the records cannot carry       -> (7, error text, op)
 
 Kind 7 comes only from :meth:`PackedOps.from_operations`: the replay
 raises its text when it reaches it, so an earlier illegal op still
-reports first.
+reports first, and :meth:`PackedOps.materialize` hands the op back.
 """
 
 from __future__ import annotations
@@ -57,27 +58,31 @@ class PackedOps:
     one-qubit gates — enough to price every gate record without the
     :class:`~repro.circuits.Gate` object.  Nodes index the circuit's
     gates; ``gates`` is set only when the stream runs gates the circuit
-    does not hold (compiler-inserted ones), which take the nodes past its
-    end and decode with ``circuit_index == -1``.
+    does not hold, which take the nodes past its end.  ``claims`` holds,
+    per such node, the ``circuit_index`` it decodes with: ``-1`` for a
+    compiler-inserted gate, else the circuit slot its op claimed (a
+    wrong or stale claim the verifier reports).
     """
 
-    __slots__ = ("records", "qubits_a", "qubits_b", "gates", "_shuttle_count")
+    __slots__ = ("records", "qubits_a", "qubits_b", "gates", "claims", "_shuttle_count")
 
-    def __init__(self, records, qubits_a, qubits_b, gates=None) -> None:
+    def __init__(self, records, qubits_a, qubits_b, gates=None, claims=()) -> None:
         self.records: list[tuple[int, ...]] = records
         self.qubits_a = qubits_a
         self.qubits_b = qubits_b
         self.gates = gates
+        self.claims: tuple[int, ...] = claims
         self._shuttle_count: int | None = None
 
     @classmethod
-    def for_circuit(cls, records, circuit, extra_gates=()) -> "PackedOps":
+    def for_circuit(cls, records, circuit, extra_gates=(), claims=()) -> "PackedOps":
         """Wrap ``records`` with the operand arrays of a native circuit,
-        followed by ``extra_gates`` (nodes past the circuit's end)."""
+        followed by ``extra_gates`` (nodes past the circuit's end) and
+        their ``claims``."""
         if not extra_gates:
             return cls(records, *_operands(circuit.gates))
         gates = tuple(circuit.gates) + tuple(extra_gates)
-        return cls(records, *_operands(gates), gates)
+        return cls(records, *_operands(gates), gates, tuple(claims))
 
     @classmethod
     def from_operations(cls, operations, circuit, num_zones: int) -> "PackedOps":
@@ -85,39 +90,43 @@ class PackedOps:
 
         A gate op keeps its ``circuit_index`` as its node when the
         circuit holds that gate there; any other gate gets a node past
-        the circuit's end.  An op the records cannot carry — an unknown
-        op type, a zone or qubit id the machine or circuit lacks, a gate
-        on more than two qubits — becomes a kind-7 record with its error
-        text.
+        the circuit's end that keeps the index as its claim.  An op the
+        records cannot carry — an unknown op type, a zone or qubit id
+        the machine or circuit lacks, a gate on more than two qubits —
+        becomes a kind-7 record with its error text and the op itself.
         """
         gates = list(circuit.gates)
         num_gates = len(gates)
         num_qubits = circuit.num_qubits
+        claims: list[int] = []
         records: list[tuple] = []
         append = records.append
         for op in operations:
             op_class = op.__class__
             if op_class is GateOp or op_class is FiberGateOp:
                 gate = op.gate
+                qubits = gate.qubits
+                if op_class is GateOp:
+                    if len(qubits) > 2:
+                        append((K_INVALID, f"gate {gate} acts on {len(qubits)} qubits", op))
+                        continue
+                    zones: tuple[int, ...] = (op.zone,)
+                elif len(qubits) != 2:
+                    append((K_INVALID, f"fiber gate {gate} needs two qubits", op))
+                    continue
+                else:
+                    zones = (op.zone_a, op.zone_b)
                 node = op.circuit_index
                 if not 0 <= node < num_gates or (
                     gates[node] is not gate and gates[node] != gate
                 ):
+                    claims.append(node)
                     node = len(gates)
                     gates.append(gate)
-                qubits = gate.qubits
                 if op_class is GateOp:
-                    zones: tuple[int, ...] = (op.zone,)
                     record: tuple = (K_GATE, node, op.zone)
-                    if len(qubits) > 2:
-                        append((K_INVALID, f"gate {gate} acts on {len(qubits)} qubits"))
-                        continue
                 else:
-                    zones = (op.zone_a, op.zone_b)
                     record = (K_FIBER, node, op.zone_a, op.zone_b)
-                    if len(qubits) != 2:
-                        append((K_INVALID, f"fiber gate {gate} needs two qubits"))
-                        continue
             elif op_class is MoveOp:
                 qubits = (op.qubit,)
                 zones = (op.source_zone, op.destination_zone)
@@ -141,11 +150,11 @@ class PackedOps:
                 zones = (op.zone_a, op.zone_b)
                 record = (K_SWAP, op.qubit_a, op.qubit_b, op.zone_a, op.zone_b)
             else:
-                append((K_INVALID, f"unknown operation type {op_class.__name__}"))
+                append((K_INVALID, f"unknown operation type {op_class.__name__}", op))
                 continue
             missing = _missing_id(zones, num_zones, qubits, num_qubits)
-            append(record if missing is None else (K_INVALID, missing))
-        return cls.for_circuit(records, circuit, gates[num_gates:])
+            append(record if missing is None else (K_INVALID, missing, op))
+        return cls.for_circuit(records, circuit, gates[num_gates:], claims)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -153,6 +162,12 @@ class PackedOps:
     def gate_table(self, circuit):
         """Node -> :class:`~repro.circuits.Gate` for these records."""
         return circuit.gates if self.gates is None else self.gates
+
+    def circuit_index(self, node: int, num_gates: int) -> int:
+        """The ``circuit_index`` gate node ``node`` decodes with, for a
+        circuit of ``num_gates`` gates: the node itself, or the claim of
+        a node past the circuit's end."""
+        return node if node < num_gates else self.claims[node - num_gates]
 
     @property
     def shuttle_count(self) -> int:
@@ -167,13 +182,14 @@ class PackedOps:
         """Build the equivalent :mod:`repro.sim.ops` object stream."""
         gates = self.gate_table(circuit)
         num_gates = len(circuit.gates)
+        index = self.circuit_index
         out: list[Operation] = []
         append = out.append
         for record in self.records:
             kind = record[0]
             if kind == K_GATE:
                 node = record[1]
-                append(GateOp(gates[node], record[2], node if node < num_gates else -1))
+                append(GateOp(gates[node], record[2], index(node, num_gates)))
             elif kind == K_MOVE:
                 append(MoveOp(record[1], record[2], record[3]))
             elif kind == K_CHAIN_SWAP:
@@ -184,10 +200,13 @@ class PackedOps:
                 append(MergeOp(*record[1:]))
             elif kind == K_FIBER:
                 node = record[1]
-                index = node if node < num_gates else -1
-                append(FiberGateOp(gates[node], record[2], record[3], index))
-            else:
+                append(
+                    FiberGateOp(gates[node], record[2], record[3], index(node, num_gates))
+                )
+            elif kind == K_SWAP:
                 append(SwapGateOp(record[1], record[2], record[3], record[4]))
+            else:  # K_INVALID: the op the records could not carry
+                append(record[2])
         return out
 
 

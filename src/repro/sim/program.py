@@ -1,28 +1,32 @@
-"""Compiled program: an operation stream plus its execution context."""
+"""Compiled program: a packed op stream plus its execution context."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from collections.abc import Iterable
 
 from ..circuits import QuantumCircuit
 from ..hardware import Machine
-from .ops import MoveOp, Operation
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .oparray import PackedOps
+from .oparray import PackedOps
+from .ops import Operation
 
 
-@dataclass
 class Program:
     """The output of every compiler in this repository.
+
+    The op stream is held once, as packed int records
+    (:class:`~repro.sim.oparray.PackedOps`): the array-core scheduler,
+    the grid baselines and the multi-programming batch merge hand theirs
+    over as is, and an op dataclass sequence is encoded here, once.
+    The replay, the pricing folds and the verifier read the records;
+    :attr:`operations` decodes them afresh on each read and cannot be
+    assigned — build a new :class:`Program` to change a schedule.
 
     Attributes:
         machine: the hardware the program was compiled for.
         circuit: the source circuit (logical gates, native 1q/2q form).
         initial_placement: zone id -> ordered chain of logical qubits, the
             state of the machine before the first op.
-        operations: the op stream (see :mod:`repro.sim.ops`).
+        packed_view: the op stream (see :mod:`repro.sim.oparray`).
         compiler_name: provenance label for reports.
         compile_time_s: wall-clock seconds spent compiling.
         metadata: free-form compiler statistics (e.g. inserted SWAP count).
@@ -30,30 +34,48 @@ class Program:
             by SABRE's two-fold search).
     """
 
-    machine: Machine
-    circuit: QuantumCircuit
-    initial_placement: dict[int, tuple[int, ...]]
-    operations: list[Operation]
-    compiler_name: str = "unknown"
-    compile_time_s: float = 0.0
-    metadata: dict[str, float] = field(default_factory=dict)
-    final_placement: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    def __init__(
+        self,
+        machine: Machine,
+        circuit: QuantumCircuit,
+        initial_placement: dict[int, tuple[int, ...]],
+        operations: PackedOps | Iterable[Operation],
+        compiler_name: str = "unknown",
+        compile_time_s: float = 0.0,
+        metadata: dict[str, float] | None = None,
+        final_placement: dict[int, tuple[int, ...]] | None = None,
+    ) -> None:
+        if not isinstance(operations, PackedOps):
+            operations = PackedOps.from_operations(
+                operations, circuit, machine.num_zones
+            )
+        self.machine = machine
+        self.circuit = circuit
+        self.initial_placement = initial_placement
+        self._packed = operations
+        self.compiler_name = compiler_name
+        self.compile_time_s = compile_time_s
+        self.metadata = {} if metadata is None else metadata
+        self.final_placement = {} if final_placement is None else final_placement
 
     @property
-    def packed_view(self) -> "PackedOps | None":
-        """Packed records carrying the op stream, when the program has
-        them (see :class:`ArrayProgram`); the replay encodes
-        ``operations`` otherwise."""
-        return None
+    def packed_view(self) -> PackedOps:
+        """The packed records: the program's one op stream."""
+        return self._packed
+
+    @property
+    def operations(self) -> tuple[Operation, ...]:
+        """The op stream as :mod:`repro.sim.ops` dataclasses (a decode)."""
+        return tuple(self._packed.materialize(self.circuit))
 
     @property
     def shuttle_count(self) -> int:
         """Number of inter-zone moves (the paper's headline shuttle metric)."""
-        return sum(1 for op in self.operations if isinstance(op, MoveOp))
+        return self._packed.shuttle_count
 
     @property
     def num_operations(self) -> int:
-        return len(self.operations)
+        return len(self._packed)
 
     def initial_zone_of(self, qubit: int) -> int:
         """Zone holding ``qubit`` before execution starts."""
@@ -93,73 +115,5 @@ class Program:
             raise ValueError(f"qubits never placed: {sorted(missing)}")
 
 
-class ArrayProgram(Program):
-    """A :class:`Program` whose op stream lives in packed int records.
-
-    Produced by the array-core scheduler, the grid baselines and the
-    multi-programming batch merge: the schedule is carried as a
-    :class:`~repro.sim.oparray.PackedOps` and the ``operations`` list of
-    op dataclasses is only materialised on first access.
-    :func:`repro.sim.events.replay` reads the packed form directly
-    through :attr:`packed_view`, so a compile + execute round trip never
-    builds a single op object.
-
-    Once ``operations`` has been materialised (or assigned), the packed
-    view is withdrawn: the list is then the single mutable source of
-    truth, exactly like a plain :class:`Program`, and the replay encodes
-    it afresh — callers that edit the op stream (tests corrupting an op)
-    are replayed as edited.
-    """
-
-    def __init__(
-        self,
-        machine: Machine,
-        circuit: QuantumCircuit,
-        initial_placement: dict[int, tuple[int, ...]],
-        packed: "PackedOps",
-        compiler_name: str = "unknown",
-        compile_time_s: float = 0.0,
-        metadata: dict[str, float] | None = None,
-        final_placement: dict[int, tuple[int, ...]] | None = None,
-    ) -> None:
-        self.machine = machine
-        self.circuit = circuit
-        self.initial_placement = initial_placement
-        self.compiler_name = compiler_name
-        self.compile_time_s = compile_time_s
-        self.metadata = {} if metadata is None else metadata
-        self.final_placement = {} if final_placement is None else final_placement
-        self._packed = packed
-        self._materialized: list[Operation] | None = None
-
-    @property
-    def packed_view(self) -> "PackedOps | None":  # type: ignore[override]
-        """The packed records while they are still authoritative.
-
-        ``None`` once ``operations`` has been materialised — from then on
-        the object list may have been mutated and must be replayed as is.
-        """
-        return self._packed if self._materialized is None else None
-
-    @property  # type: ignore[override]
-    def operations(self) -> list[Operation]:
-        ops = self._materialized
-        if ops is None:
-            ops = self._materialized = self._packed.materialize(self.circuit)
-        return ops
-
-    @operations.setter
-    def operations(self, value: list[Operation]) -> None:
-        self._materialized = value
-
-    @property
-    def shuttle_count(self) -> int:
-        if self._materialized is None:
-            return self._packed.shuttle_count
-        return sum(1 for op in self._materialized if isinstance(op, MoveOp))
-
-    @property
-    def num_operations(self) -> int:
-        if self._materialized is None:
-            return len(self._packed.records)
-        return len(self._materialized)
+#: The name the array core's programs had; every program is one now.
+ArrayProgram = Program

@@ -58,11 +58,17 @@ class TestCommands:
                 "GHZ_n16",
                 "--machine",
                 "grid:2x2:8",
-                "--params",
+                "--physics",
                 "perfect-shuttle",
             ]
         )
         assert code == 0
+
+    def test_params_alias_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["compile", "GHZ_n16", "--params", "perfect-shuttle"])
+        assert raised.value.code == 2
+        assert "--params" in capsys.readouterr().err
 
     def test_compile_timeline(self, capsys):
         code = main(["compile", "GHZ_n16", "--machine", "grid:2x2:8", "--timeline"])

@@ -140,7 +140,7 @@ def test_array_core_scale_cell_matches_reference() -> None:
 
 def test_executor_rejects_like_reference() -> None:
     """A corrupted op stream fails both executors at the same op index."""
-    from repro.sim import ExecutionError
+    from repro.sim import ExecutionError, Program
     from repro.sim.ops import MoveOp
 
     from .reference import RefExecutionError
@@ -156,10 +156,10 @@ def test_executor_rejects_like_reference() -> None:
         i for i, op in enumerate(program.operations) if isinstance(op, MoveOp)
     )
     # Teleporting move: the source zone no longer matches the ion's transit.
-    bad = program.operations[move_index]
-    program.operations[move_index] = MoveOp(
-        bad.qubit, bad.source_zone + 1, bad.destination_zone
-    )
+    ops = list(program.operations)
+    bad = ops[move_index]
+    ops[move_index] = MoveOp(bad.qubit, bad.source_zone + 1, bad.destination_zone)
+    program = Program(program.machine, program.circuit, program.initial_placement, ops)
     with pytest.raises(ExecutionError) as optimized_error:
         execute(program)
     with pytest.raises(RefExecutionError) as reference_error:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
 import repro
 from repro.circuits import Gate
 from repro.multiprog import BatchJob, RegionError, pack_batch, slice_ledger
-from repro.sim import GateOp, Program, replay, reprice, verify_program
+from repro.sim import GateOp, Program, VerificationError, replay, reprice, verify_program
 
 
 def two_tenant_schedule():
@@ -30,9 +31,22 @@ class _InsertingCompiler:
             machine,
             circuit,
             program.initial_placement,
-            [GateOp(Gate("h", (0,)), zone)] + program.operations,
+            [GateOp(Gate("h", (0,)), zone), *program.operations],
             compiler_name="inserting",
         )
+
+
+class _SubstitutingCompiler:
+    """Returns op objects whose first circuit gate is swapped for another
+    gate on the same qubits, still claiming the original's slot."""
+
+    def compile(self, circuit, machine, placement=None):
+        program = repro.MussTiCompiler().compile(circuit, machine, placement)
+        ops = list(program.operations)
+        first = next(i for i, op in enumerate(ops) if isinstance(op, GateOp))
+        gate = ops[first].gate
+        ops[first] = replace(ops[first], gate=Gate("y" if gate.is_one_qubit else "cz", gate.qubits))
+        return Program(machine, circuit, program.initial_placement, ops)
 
 
 class TestPackBatch:
@@ -124,8 +138,8 @@ class TestSliceLedger:
 
 
 def test_tenants_returning_op_objects_keep_inserted_gates():
-    """A tenant program without packed records is encoded and lifted too;
-    its compiler-inserted gate lands on the tenant's own qubit 0."""
+    """A tenant program built from op objects is lifted too; its
+    compiler-inserted gate lands on the tenant's own qubit 0."""
     name = "batch-test-inserting"
     if name not in repro.default_registry():
         repro.register_compiler(name, summary="test-only")(_InsertingCompiler)
@@ -139,3 +153,22 @@ def test_tenants_returning_op_objects_keep_inserted_gates():
     assert [events[index].qubits for index in firsts] == [(0,), (16,)]
     tenants = [replay(placement.program) for placement in schedule.placements]
     assert ledger.one_qubit_gate_count == sum(t.one_qubit_gate_count for t in tenants)
+
+
+def test_lifted_claim_names_the_combined_circuit_slot():
+    """A tenant gate claiming a slot it does not hold is reported at that
+    slot of the combined circuit: the claim moves by the gate offset."""
+    name = "batch-test-substituting"
+    if name not in repro.default_registry():
+        repro.register_compiler(name, summary="test-only")(_SubstitutingCompiler)
+    jobs = [BatchJob("a", "GHZ_n16"), BatchJob("b", "QFT_n16", compiler=name)]
+    schedule = pack_batch(jobs, "eml:16:2")
+    tenant = schedule.placements[1]
+    claimed = next(
+        op.circuit_index for op in tenant.program.operations if isinstance(op, GateOp)
+    )
+    index = tenant.gate_offset + claimed
+    with pytest.raises(VerificationError) as raised:
+        verify_program(schedule.program)
+    assert str(raised.value).startswith(f"circuit gate #{index} mismatch: program has ")
+    assert str(raised.value).endswith(f"circuit has {schedule.program.circuit[index]}")

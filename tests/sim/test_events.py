@@ -173,6 +173,7 @@ class TestChannels:
 
 class TestReplayLegality:
     def test_replay_rejects_illegal_program(self, small_grid_2x2):
+        from repro.sim import Program
         from repro.sim.ops import MoveOp
 
         program = compiled(small_grid_2x2, "GHZ_n32")
@@ -181,9 +182,11 @@ class TestReplayLegality:
             for i, op in enumerate(program.operations)
             if isinstance(op, MoveOp)
         )
-        bad = program.operations[move_index]
-        program.operations[move_index] = MoveOp(
-            bad.qubit, bad.source_zone + 1, bad.destination_zone
+        ops = list(program.operations)
+        bad = ops[move_index]
+        ops[move_index] = MoveOp(bad.qubit, bad.source_zone + 1, bad.destination_zone)
+        program = Program(
+            program.machine, program.circuit, program.initial_placement, ops
         )
         with pytest.raises(ExecutionError) as error:
             replay(program)

@@ -203,27 +203,35 @@ class TestGateAccounting:
 
 
 class TestFiberGates:
-    def fiber_program(self, machine, gate_ops):
-        optical_a = machine.optical_zones(0)[0].zone_id
-        optical_b = machine.optical_zones(1)[0].zone_id
-        circuit = QuantumCircuit(2)
-        placement = {optical_a: (0,), optical_b: (1,)}
-        return Program(machine, circuit, placement, gate_ops), optical_a, optical_b
+    def optical_pair(self, machine):
+        return (
+            machine.optical_zones(0)[0].zone_id,
+            machine.optical_zones(1)[0].zone_id,
+        )
+
+    def fiber_program(self, machine, gate_ops, placement=None):
+        optical_a, optical_b = self.optical_pair(machine)
+        if placement is None:
+            placement = {optical_a: (0,), optical_b: (1,)}
+        return Program(machine, QuantumCircuit(2), placement, gate_ops)
 
     def test_fiber_gate_accounting(self, two_modules):
-        program, za, zb = self.fiber_program(two_modules, [])
-        program.operations.append(FiberGateOp(Gate("cx", (0, 1)), za, zb))
+        za, zb = self.optical_pair(two_modules)
+        program = self.fiber_program(
+            two_modules, [FiberGateOp(Gate("cx", (0, 1)), za, zb)]
+        )
         report = execute(program)
         assert report.fiber_gate_count == 1
         assert report.execution_time_us == pytest.approx(200.0)
         assert report.log10_fidelity == pytest.approx(math.log10(0.99))
 
     def test_fiber_gate_needs_optical_zones(self, two_modules):
-        program, za, zb = self.fiber_program(two_modules, [])
+        _, zb = self.optical_pair(two_modules)
         operation_zone = two_modules.operation_zones(0)[0].zone_id
-        program.initial_placement = {operation_zone: (0,), zb: (1,)}
-        program.operations.append(
-            FiberGateOp(Gate("cx", (0, 1)), operation_zone, zb)
+        program = self.fiber_program(
+            two_modules,
+            [FiberGateOp(Gate("cx", (0, 1)), operation_zone, zb)],
+            placement={operation_zone: (0,), zb: (1,)},
         )
         with pytest.raises(ExecutionError, match="optical"):
             execute(program)
@@ -241,10 +249,11 @@ class TestFiberGates:
             execute(program)
 
     def test_remote_swap_relabels_and_charges_three_gates(self, two_modules):
-        program, za, zb = self.fiber_program(two_modules, [])
-        program.operations.append(SwapGateOp(0, 1, za, zb))
+        za, zb = self.optical_pair(two_modules)
         # After the swap, qubit 0 lives in zone zb: a local gate there works.
-        program.operations.append(GateOp(Gate("h", (0,)), zb))
+        program = self.fiber_program(
+            two_modules, [SwapGateOp(0, 1, za, zb), GateOp(Gate("h", (0,)), zb)]
+        )
         report = execute(program)
         assert report.inserted_swap_count == 1
         assert report.remote_swap_count == 1

@@ -6,6 +6,8 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.sim import MoveOp, Program, SplitOp
+from repro.sim.oparray import PackedOps
+from repro.sim.program import ArrayProgram
 
 
 def make_program(machine, placement, ops=()):
@@ -57,3 +59,21 @@ class TestQueries:
         assert program.initial_zone_of(3) == 2
         with pytest.raises(KeyError):
             program.initial_zone_of(9)
+
+
+class TestOneOpStream:
+    def test_array_program_is_program(self):
+        assert ArrayProgram is Program
+
+    def test_op_list_is_encoded_once(self, tiny_grid):
+        ops = [SplitOp(0, 0), MoveOp(0, 0, 1)]
+        program = make_program(tiny_grid, {0: (0, 1), 1: (2, 3)}, ops)
+        assert isinstance(program.packed_view, PackedOps)
+        assert program.packed_view.records == [(0, 0, 0), (1, 0, 0, 1)]
+        assert program.operations == tuple(ops)
+
+    def test_operations_is_read_only(self, tiny_grid):
+        program = make_program(tiny_grid, {0: (0, 1), 1: (2, 3)}, [SplitOp(0, 0)])
+        with pytest.raises(AttributeError):
+            program.operations = []
+        assert program.operations == (SplitOp(0, 0),)

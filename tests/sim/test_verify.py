@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.circuits import Gate, QuantumCircuit
 from repro.core import MussTiCompiler
+from repro.hardware import resolve_machine
 from repro.sim import (
     ChainSwapOp,
     FiberGateOp,
@@ -28,6 +31,11 @@ def compiled_bell(machine):
     return MussTiCompiler().compile(circuit, machine)
 
 
+def rebuilt(program, ops):
+    """``program`` with its op stream replaced by ``ops``."""
+    return Program(program.machine, program.circuit, program.initial_placement, ops)
+
+
 class TestAcceptsGoodPrograms:
     def test_compiled_program_verifies(self, tiny_grid):
         program = compiled_bell(tiny_grid)
@@ -43,11 +51,14 @@ class TestCatchesBadPrograms:
     def test_missing_gate(self, tiny_grid):
         program = compiled_bell(tiny_grid)
         # Drop the CX.
-        program.operations = [
-            op
-            for op in program.operations
-            if not (isinstance(op, GateOp) and op.gate.name == "cx")
-        ]
+        program = rebuilt(
+            program,
+            [
+                op
+                for op in program.operations
+                if not (isinstance(op, GateOp) and op.gate.name == "cx")
+            ],
+        )
         with pytest.raises(VerificationError, match="never executed"):
             verify_program(program)
         assert not is_valid(program)
@@ -55,7 +66,7 @@ class TestCatchesBadPrograms:
     def test_duplicated_gate(self, tiny_grid):
         program = compiled_bell(tiny_grid)
         gate_ops = [op for op in program.operations if isinstance(op, GateOp)]
-        program.operations.append(gate_ops[-1])
+        program = rebuilt(program, [*program.operations, gate_ops[-1]])
         with pytest.raises(VerificationError, match="twice"):
             verify_program(program)
 
@@ -69,7 +80,7 @@ class TestCatchesBadPrograms:
                 )
             else:
                 swapped.append(op)
-        program.operations = swapped
+        program = rebuilt(program, swapped)
         with pytest.raises(VerificationError, match="mismatch"):
             verify_program(program)
 
@@ -80,19 +91,22 @@ class TestCatchesBadPrograms:
         program = MussTiCompiler().compile(circuit, tiny_grid)
         gate_ops = [op for op in program.operations if isinstance(op, GateOp)]
         others = [op for op in program.operations if not isinstance(op, GateOp)]
-        program.operations = others + list(reversed(gate_ops))
+        program = rebuilt(program, others + list(reversed(gate_ops)))
         with pytest.raises(VerificationError, match="before its"):
             verify_program(program)
 
     def test_physical_illegality_reported(self, tiny_grid):
         program = compiled_bell(tiny_grid)
         # Teleport the gate to a zone where the qubits are not.
-        program.operations = [
-            GateOp(op.gate, zone=3, circuit_index=op.circuit_index)
-            if isinstance(op, GateOp) and op.gate.is_two_qubit
-            else op
-            for op in program.operations
-        ]
+        program = rebuilt(
+            program,
+            [
+                GateOp(op.gate, zone=3, circuit_index=op.circuit_index)
+                if isinstance(op, GateOp) and op.gate.is_two_qubit
+                else op
+                for op in program.operations
+            ],
+        )
         with pytest.raises(VerificationError, match="physical legality"):
             verify_program(program)
 
@@ -104,6 +118,43 @@ class TestCatchesBadPrograms:
             circuit.cx(q, 9)
         program = MussTiCompiler().compile(circuit, two_modules_cap8)
         verify_program(program)
+
+
+class TestCircuitIndexClaims:
+    """A gate op's ``circuit_index`` names the circuit slot it runs; a
+    wrong or stale one is a verification failure with a literal text."""
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (
+                {"circuit_index": 7},
+                "circuit gate #7 does not exist (the circuit has 2 gates)",
+            ),
+            ({"circuit_index": 0}, "circuit gate #0 executed twice"),
+            (
+                {"gate": Gate("cz", (0, 1))},
+                "circuit gate #1 mismatch: program has cz [0, 1], circuit has cx [0, 1]",
+            ),
+            ({"circuit_index": -1}, "1 circuit gates never executed (next ready: [1])"),
+        ],
+        ids=["past-the-circuit", "another-gate", "substituted-gate", "inserted"],
+    )
+    def test_claim_rejected(self, edit, message):
+        program = compiled_bell(resolve_machine("grid:2x2:4", 2))
+        program = rebuilt(
+            program,
+            [
+                replace(op, **edit)
+                if isinstance(op, GateOp) and op.gate.name == "cx"
+                else op
+                for op in program.operations
+            ],
+        )
+        with pytest.raises(VerificationError) as raised:
+            verify_program(program)
+        assert str(raised.value) == message
+        assert not is_valid(program)
 
 
 ZONE_99 = "zone 99 does not exist (the machine has 4 zones)"
