@@ -1,31 +1,19 @@
 """Compare two ``BENCH_*.json`` payloads: the perf-regression guard.
 
-``repro bench compare <old.json> <new.json>`` matches cells by identity
-(workload, machine, compiler, mode — plus, for service load-generator
-cells, the concurrency/request configuration, because a ``--quick``
-run's latencies are not comparable to a full-size run's), renders a
-per-cell delta table, and
-— with ``--fail-over PCT`` — exits non-zero when any matched cell's
-guard metric regressed by more than PCT percent.  Metrics are
-mode-aware: compile+execute (and reprice) cells are judged on
-``total_s`` in seconds, service load-generator cells (``serve-cold`` /
-``serve-warm``) on ``p99_ms`` in milliseconds, multi-tenant queueing
-cells (``fleet``) on ``p99_wait_ms``, and fault-robustness cells
-(``faults``) on ``makespan_degradation_pct`` (in percentage points) —
-so scheduler speed, service latency, co-scheduling tail wait, and
-degraded-hardware robustness all live under one guard.
+``repro bench compare <old.json> <new.json>`` matches cells by
+:func:`~repro.bench.micro.cell_key`, renders one delta table per cell
+family, and — with ``--fail-over PCT`` — exits non-zero when any
+matched cell's guard metric regressed by more than PCT percent (points,
+for a metric that is a percentage already).  What each family compares,
+judges and exempts from the noise floor is declared once, in
+:data:`~repro.bench.micro.CELL_FAMILIES`.
 
 The baseline may be given literally, or as the word ``latest`` (or a
 directory), which auto-discovers the newest committed ``BENCH_*.json``
 by the date in its filename and fails with a clear message when none
-exists.  CI runs the guard after ``repro bench micro --quick`` against
-``latest``, so a perf-relevant change cannot land without either
-staying inside the budget or committing a fresh baseline that documents
-the new numbers.
-
-Cells present in only one payload are listed (``(new)`` / ``(gone)``)
-but never fail the guard; every schema version of the payload is
-accepted.
+exists.  Cells present in only one payload are listed (``(new)`` /
+``(gone)``) but never fail the guard; every schema version of the
+payload is accepted.
 """
 
 from __future__ import annotations
@@ -34,47 +22,14 @@ import json
 import re
 from pathlib import Path
 
-from .micro import validate_payload
-
-#: Cell-identity fields; ``mode`` defaults to the plain compile+execute cell.
-_KEY_FIELDS = ("workload", "machine", "compiler")
-
-#: Timing fields compared per compile+execute cell, in table order.
-METRICS = ("compile_s", "execute_s", "total_s")
-
-#: The metric the ``--fail-over`` guard judges on compile+execute cells.
-GUARD_METRIC = "total_s"
-
-#: Fields compared per service load-generator cell.  ``rejected``
-#: (429 count, schema v6) is absent from older baselines; a missing
-#: side renders as ``n/a`` and is never judged.
-SERVE_METRICS = ("p50_ms", "p99_ms", "throughput_rps", "rejected")
-
-#: The metric the guard judges on serve cells (throughput is shown but
-#: not judged: its good direction is up, and p99 already covers it).
-SERVE_GUARD_METRIC = "p99_ms"
-
-#: Fields compared per multi-tenant queueing cell (``mode: fleet``).
-FLEET_METRICS = ("throughput_jps", "p99_wait_ms")
-
-#: The metric the guard judges on fleet cells — tail queue wait, the
-#: user-facing cost of a scheduling regression (throughput's good
-#: direction is up, so it is shown but not judged).
-FLEET_GUARD_METRIC = "p99_wait_ms"
-
-#: Fields compared per fault-robustness cell (``mode: faults``).
-FAULTS_METRICS = (
-    "makespan_us",
-    "makespan_degradation_pct",
-    "recovery_overhead_pct",
+from .micro import (
+    CELL_FAMILIES,
+    CellFamily,
+    cell_family,
+    cell_key,
+    describe_key,
+    validate_payload,
 )
-
-#: The metric the guard judges on faults cells: how much slower the
-#: fault-avoiding schedule is than the pristine compile.  It is itself a
-#: percentage (often exactly 0.0 on symmetric machines), so its delta is
-#: reported in percentage *points* — a ratio against a zero baseline
-#: would be undefined exactly where fault avoidance works best.
-FAULTS_GUARD_METRIC = "makespan_degradation_pct"
 
 #: Filename pattern of a committed, dated baseline.
 _BASELINE_RE = re.compile(r"^BENCH_(\d{4}-\d{2}-\d{2})\.json$")
@@ -128,80 +83,27 @@ def load_payload(path: str | Path) -> dict:
     return payload
 
 
-def _cell_key(cell: dict) -> tuple:
-    mode = cell.get("mode", "compile-execute")
-    key = tuple(cell[field] for field in _KEY_FIELDS) + (mode,)
-    if mode.startswith("serve-"):
-        # Load-generator latencies are only comparable between identical
-        # experiment configurations: a --quick cell (low concurrency,
-        # few requests) must never be guard-judged against a full-size
-        # baseline cell, so the configuration is part of the identity.
-        key += (f"c{cell.get('concurrency')}r{cell.get('requests')}",)
-    elif mode == "fleet":
-        # Same reasoning for queueing cells: a --quick trace's tail wait
-        # is not comparable to the full-size trace's.
-        key += (f"j{cell.get('jobs')}a{cell.get('arrival')}",)
-    return key
-
-
-def _is_serve_key(key: tuple) -> bool:
-    return key[3].startswith("serve-")
-
-
-def _is_fleet_key(key: tuple) -> bool:
-    return key[3] == "fleet"
-
-
-def _is_faults_key(key: tuple) -> bool:
-    return key[3] == "faults"
-
-
-def _metrics_for(key: tuple) -> tuple[str, ...]:
-    if _is_serve_key(key):
-        return SERVE_METRICS
-    if _is_fleet_key(key):
-        return FLEET_METRICS
-    if _is_faults_key(key):
-        return FAULTS_METRICS
-    return METRICS
-
-
 def guard_metric_for(key: tuple) -> str:
-    """The ``--fail-over`` metric of one cell (mode-aware)."""
-    if _is_serve_key(key):
-        return SERVE_GUARD_METRIC
-    if _is_fleet_key(key):
-        return FLEET_GUARD_METRIC
-    if _is_faults_key(key):
-        return FAULTS_GUARD_METRIC
-    return GUARD_METRIC
+    """The ``--fail-over`` metric of one cell, by its family."""
+    return cell_family(key[3]).guard
 
 
-def _describe_key(key: tuple) -> str:
-    workload, machine, compiler, mode = key[:4]
-    if mode == "faults":
-        # The compiler field carries ``faults-<profile>`` — the profile
-        # is the variant axis, so show it instead of the bare mode.
-        suffix = f" [{compiler}]"
-    elif mode != "compile-execute":
-        suffix = f" [{mode}]"
-    else:
-        suffix = ""
-    if len(key) > 4:
-        suffix += f" @{key[4]}"
-    return f"{workload} on {machine}{suffix}"
+def _delta_unit(family: CellFamily, metric: str) -> str:
+    """``pt`` for a metric whose delta is in points, else ``%``."""
+    return "pt" if metric in family.points else "%"
 
 
 def compare_payloads(old: dict, new: dict) -> list[dict]:
     """Match cells across two payloads; returns one row dict per cell.
 
     Matched rows carry ``old``/``new``/``delta_pct`` per metric of the
-    cell's mode (``delta_pct`` is ``(new - old) / old * 100``, or
-    ``None`` when the old value is zero); unmatched rows carry
-    ``status`` ``"new"`` or ``"gone"``.
+    cell's family (``delta_pct`` is ``(new - old) / old * 100``, or
+    ``None`` when the old value is zero; for the family's points metrics
+    it is ``new - old``); unmatched rows carry ``status`` ``"new"`` or
+    ``"gone"``.
     """
-    old_cells = {_cell_key(cell): cell for cell in old["cells"]}
-    new_cells = {_cell_key(cell): cell for cell in new["cells"]}
+    old_cells = {cell_key(cell): cell for cell in old["cells"]}
+    new_cells = {cell_key(cell): cell for cell in new["cells"]}
     rows: list[dict] = []
     for key, old_cell in old_cells.items():
         new_cell = new_cells.get(key)
@@ -209,19 +111,16 @@ def compare_payloads(old: dict, new: dict) -> list[dict]:
             rows.append({"key": key, "status": "gone", "cell": old_cell})
             continue
         row: dict = {"key": key, "status": "matched"}
-        for metric in _metrics_for(key):
+        family = cell_family(key[3])
+        for metric in family.metrics:
             before = old_cell.get(metric)
             after = new_cell.get(metric)
             if before is None or after is None:
-                # A metric added in a newer schema version (e.g. the
-                # serve cells' ``rejected``) is absent from older
-                # baselines — shown as n/a, never judged.
+                # A metric added in a newer schema version is absent
+                # from older baselines — shown as n/a, never judged.
                 row[metric] = {"old": before, "new": after, "delta_pct": None}
                 continue
-            if _is_faults_key(key) and metric.endswith("_pct"):
-                # Already a percentage: report the change in percentage
-                # points (a ratio against a 0.0 baseline — the normal
-                # case when fault avoidance is free — is undefined).
+            if metric in family.points:
                 delta = after - before
             else:
                 delta = (
@@ -237,21 +136,16 @@ def compare_payloads(old: dict, new: dict) -> list[dict]:
 
 #: Cells whose baseline guard value is below this many *seconds* are
 #: shown in the table but not judged by the guard: a 1 ms cell
-#: regressing "200%" is timer noise, not a perf regression.  Serve-cell
-#: p99 values (milliseconds) are converted before the floor applies.
+#: regressing "200%" is timer noise, not a perf regression.  A family's
+#: guard values are converted to seconds before the floor applies;
+#: deterministic families are never skipped.
 DEFAULT_MIN_SECONDS = 0.05
 
 
 def _guard_seconds(key: tuple, entry: dict) -> float:
     """The baseline guard value of one row, in seconds."""
-    if _is_faults_key(key):
-        # Faults cells are deterministic simulator output (scheduled
-        # microseconds, not wall-clock) — timer noise cannot occur, so
-        # the noise floor never applies.
-        return float("inf")
-    if _is_serve_key(key) or _is_fleet_key(key):
-        return entry["old"] / 1000.0  # p99 latencies are milliseconds
-    return entry["old"]
+    unit = cell_family(key[3]).floor_unit
+    return float("inf") if unit is None else entry["old"] / unit
 
 
 def worst_regression(
@@ -261,11 +155,10 @@ def worst_regression(
 ):
     """The largest positive guard-metric ``delta_pct``, with its key.
 
-    Each row is judged on its own mode's guard metric (``total_s``
-    seconds or ``p99_ms`` milliseconds).  Rows whose baseline guard
-    value is below *min_seconds* (after unit conversion) are skipped as
-    noise-dominated.  Returns ``(delta_pct, key)``; ``(None, None)``
-    when nothing qualified.
+    Each row is judged on its family's guard metric.  Rows whose
+    baseline guard value is below *min_seconds* (after unit conversion)
+    are skipped as noise-dominated.  Returns ``(delta_pct, key)``;
+    ``(None, None)`` when nothing qualified.
     """
     worst: float | None = None
     worst_key = None
@@ -282,50 +175,40 @@ def worst_regression(
     return worst, worst_key
 
 
-def _render_group(rows: list[dict], metrics: tuple[str, ...], title: str) -> str:
+def _render_group(rows: list[dict], family: CellFamily) -> str:
     from ..analysis.tables import render_table
 
-    headers = ["cell"] + [f"{metric} old/new (Δ%)" for metric in metrics]
+    metrics = family.metrics
+    units = [_delta_unit(family, metric) for metric in metrics]
+    headers = ["cell"] + [
+        f"{metric} old/new (Δ{unit})" for metric, unit in zip(metrics, units)
+    ]
     body = []
     for row in rows:
-        label = _describe_key(row["key"])
+        label = describe_key(row["key"])
         if row["status"] != "matched":
             body.append([label] + [f"({row['status']})"] * len(metrics))
             continue
         cells = []
-        for metric in metrics:
+        for metric, unit in zip(metrics, units):
             entry = row[metric]
             if entry["old"] is None or entry["new"] is None:
                 cells.append("(n/a)")
                 continue
             delta = entry["delta_pct"]
-            delta_text = "n/a" if delta is None else f"{delta:+.0f}%"
+            delta_text = "n/a" if delta is None else f"{delta:+.0f}{unit}"
             cells.append(f"{entry['old']:.3f}/{entry['new']:.3f} ({delta_text})")
         body.append([label] + cells)
-    return render_table(headers, body, title=title)
+    return render_table(headers, body, title=family.title)
 
 
 def render_comparison(rows: list[dict]) -> str:
     """Fixed-width per-cell delta tables, one per cell family."""
-    timing = [
-        row
-        for row in rows
-        if not _is_serve_key(row["key"])
-        and not _is_fleet_key(row["key"])
-        and not _is_faults_key(row["key"])
-    ]
-    serve = [row for row in rows if _is_serve_key(row["key"])]
-    fleet = [row for row in rows if _is_fleet_key(row["key"])]
-    faults = [row for row in rows if _is_faults_key(row["key"])]
     parts = []
-    if timing:
-        parts.append(_render_group(timing, METRICS, "Microbenchmark comparison"))
-    if serve:
-        parts.append(_render_group(serve, SERVE_METRICS, "Service load comparison"))
-    if fleet:
-        parts.append(_render_group(fleet, FLEET_METRICS, "Fleet comparison"))
-    if faults:
-        parts.append(_render_group(faults, FAULTS_METRICS, "Faults comparison"))
+    for family in CELL_FAMILIES:
+        group = [row for row in rows if cell_family(row["key"][3]) is family]
+        if group:
+            parts.append(_render_group(group, family))
     return "\n".join(parts)
 
 
@@ -355,9 +238,10 @@ def run_compare(
             f"below the {min_seconds:g}s noise floor)"
         )
         return "\n".join(lines), 2
+    guard = guard_metric_for(worst_key)
     lines.append(
-        f"worst {guard_metric_for(worst_key)} regression: {worst:+.1f}% "
-        f"({_describe_key(worst_key)}; cells under {min_seconds:g}s baseline "
+        f"worst {guard} regression: {worst:+.1f}{_delta_unit(cell_family(worst_key[3]), guard)} "
+        f"({describe_key(worst_key)}; cells under {min_seconds:g}s baseline "
         "not judged)"
     )
     if fail_over_pct is not None:

@@ -24,10 +24,6 @@ instant is a fixed fraction of the pristine makespan.
 
 from __future__ import annotations
 
-import platform
-import sys
-from datetime import datetime, timezone
-
 #: Default tracked pair: a 4-module EML with small traps, so the
 #: 20-qubit QFT *must* span modules and storage-zone deaths actually
 #: shrink usable capacity (``dead-zones-4`` shifts the placement split
@@ -79,7 +75,7 @@ def run_faults_bench(
     from ..hardware import default_machine_registry, resolve_machine
     from ..pipeline import resolve_compiler
     from ..sim import replay
-    from .micro import SCHEMA_VERSION, validate_payload
+    from .micro import build_payload
 
     if profiles is None:
         profiles = QUICK_PROFILES if quick else DEFAULT_PROFILES
@@ -140,18 +136,7 @@ def run_faults_bench(
             "recovery": recovery.to_dict(),
         }
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "grid": "faults",
-        "repeats": 1,
-        "environment": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-        },
-        "cells": cells,
-    }
-    validate_payload(payload)
+    payload = build_payload("faults", cells)
     return {"payload": payload, "diagnostics": diagnostics}
 
 

@@ -12,16 +12,13 @@ and guards their ``p99_wait_ms`` the way it guards scheduler
 The simulation replays one seeded arrival trace under every policy, so
 run-to-run cell deltas reflect code changes, not sampling noise; the
 service-time compiles behind it are disk-cached keyed by
-:attr:`repro.serve.jobs.Job.key` (``--quick`` shrinks the trace to a
-CI-smoke size without touching the cell identity fields used by the
-guard, which keys on job count and arrival process).
+:attr:`repro.serve.jobs.Job.key`.  ``--quick`` shrinks the trace to a
+CI-smoke size; job count and arrival process are part of the cell
+identity, so a quick cell is only ever compared with (or merged over)
+a quick cell.
 """
 
 from __future__ import annotations
-
-import platform
-import sys
-from datetime import datetime, timezone
 
 #: Stable workload label of the fleet cells (the tenant mix, not one
 #: circuit); stable across runs so ``repro bench compare`` matches.
@@ -52,7 +49,7 @@ def run_fleet_bench(
     # module-level import here would be circular through the package.
     from ..multiprog.policies import DEFAULT_POLICIES
     from ..multiprog.queueing import FleetSimConfig, run_fleet_sim
-    from .micro import SCHEMA_VERSION, validate_payload
+    from .micro import build_payload
 
     if policies is None:
         policies = DEFAULT_POLICIES
@@ -86,18 +83,7 @@ def run_fleet_bench(
         }
         for policy, metrics in result["policies"].items()
     ]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "grid": "fleet",
-        "repeats": 1,
-        "environment": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-        },
-        "cells": cells,
-    }
-    validate_payload(payload)
+    payload = build_payload("fleet", cells)
     return {"payload": payload, "diagnostics": {"sim": result}}
 
 

@@ -25,6 +25,11 @@ two ways — N full re-executions versus one
 That cell is the tracked evidence that multi-profile physics sweeps stay
 cheap.
 
+Every kind of cell a payload may hold — micro, serve, fleet and faults
+— is declared once in :data:`CELL_FAMILIES`: its identity, compared
+metrics, guard metric and schema fragment.  :data:`BENCH_SCHEMA`,
+:func:`merge_payloads` and ``repro bench compare`` all read that table.
+
 The emitted payload is validated against :data:`BENCH_SCHEMA` before it
 is written; ``validate_payload`` (via :mod:`repro.schema`) uses
 ``jsonschema`` when available and falls back to an equivalent structural
@@ -38,13 +43,14 @@ import platform
 import sys
 import time
 from collections.abc import Callable
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from ..hardware import canonical_machine_spec, machine_from_spec, resolve_machine
 from ..physics import resolve_physics
 from ..pipeline import resolve_compiler
-from ..schema import SchemaError, validate, validate_node
+from ..schema import SchemaError, validate
 from ..sim import execute, replay
 from ..workloads import get_benchmark, parse_name
 from .cells import matches_filter, parse_filter
@@ -121,150 +127,238 @@ MICRO_GRID: tuple[dict, ...] = (
     {"workload": "QFT_n128", "machine": "eml:64:4", "compiler": "muss-ti", "mode": "reprice"},
 )
 
-_CELL_SCHEMA = {
-    "type": "object",
-    "required": [
-        "workload",
-        "machine",
-        "compiler",
-        "compile_s",
-        "execute_s",
-        "total_s",
-        "operations",
-        "shuttles",
-        "makespan_us",
-        "log10_fidelity",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "workload": {"enum": list(MICRO_WORKLOADS)},
-        "machine": {"type": "string", "minLength": 1},
-        "compiler": {"type": "string", "minLength": 1},
-        "compile_s": {"type": "number", "minimum": 0},
-        "execute_s": {"type": "number", "minimum": 0},
-        "total_s": {"type": "number", "minimum": 0},
-        "operations": {"type": "integer", "minimum": 0},
-        "shuttles": {"type": "integer", "minimum": 0},
-        "makespan_us": {"type": "number", "minimum": 0},
-        "log10_fidelity": {"type": "number", "maximum": 0},
-        # Replay-once/price-many cell (schema v2, optional): execute_s is
-        # the replay + N-fold pricing time; reexecute_s the N full
-        # re-executions it replaces.
-        "mode": {"enum": ["reprice"]},
-        "profiles": {"type": "integer", "minimum": 2},
-        "reexecute_s": {"type": "number", "minimum": 0},
-        "speedup": {"type": "number", "minimum": 0},
-    },
+#: The ``mode`` of a cell that carries none: the plain compile+execute cell.
+DEFAULT_MODE = "compile-execute"
+
+#: Properties every cell has, in every family: its identity triple.
+_IDENTITY_PROPERTIES = {
+    "workload": {"type": "string", "minLength": 1},
+    "machine": {"type": "string", "minLength": 1},
+    "compiler": {"type": "string", "minLength": 1},
 }
 
-#: Service load-generator cells (``repro bench serve``, schema v3; the
-#: backpressure phase and ``rejected`` count arrived in v6): the cold,
-#: warm, and backpressure phases of one load run.  Latencies are
-#: milliseconds — ``repro bench compare`` guards ``p99_ms`` for these
-#: the way it guards ``total_s`` for compile+execute cells.
-_SERVE_CELL_SCHEMA = {
-    "type": "object",
-    "required": [
-        "workload",
-        "machine",
-        "compiler",
-        "mode",
-        "concurrency",
-        "requests",
-        "errors",
-        "p50_ms",
-        "p99_ms",
-        "throughput_rps",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "workload": {"type": "string", "minLength": 1},
-        "machine": {"type": "string", "minLength": 1},
-        "compiler": {"type": "string", "minLength": 1},
-        "mode": {"enum": ["serve-cold", "serve-warm", "serve-backpressure"]},
-        "concurrency": {"type": "integer", "minimum": 1},
-        "requests": {"type": "integer", "minimum": 1},
-        "errors": {"type": "integer", "minimum": 0},
-        "rejected": {"type": "integer", "minimum": 0},
-        "p50_ms": {"type": "number", "minimum": 0},
-        "p99_ms": {"type": "number", "minimum": 0},
-        "throughput_rps": {"type": "number", "minimum": 0},
-    },
-}
 
-#: Multi-tenant queueing cells (``repro bench fleet``, schema v4): one
-#: cell per admission policy of one simulator run.  The ``compiler``
-#: field carries the policy name (the natural "variant" axis of the
-#: cell identity); ``repro bench compare`` guards ``p99_wait_ms``.
-_FLEET_CELL_SCHEMA = {
-    "type": "object",
-    "required": [
-        "workload",
-        "machine",
-        "compiler",
-        "mode",
-        "jobs",
-        "arrival",
-        "dropped",
-        "throughput_jps",
-        "utilization",
-        "p50_wait_ms",
-        "p99_wait_ms",
-        "jain",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "workload": {"type": "string", "minLength": 1},
-        "machine": {"type": "string", "minLength": 1},
-        "compiler": {"type": "string", "minLength": 1},
-        "mode": {"enum": ["fleet"]},
-        "jobs": {"type": "integer", "minimum": 1},
-        "arrival": {"enum": ["poisson", "bursty"]},
-        "dropped": {"type": "integer", "minimum": 0},
-        "throughput_jps": {"type": "number", "minimum": 0},
-        "utilization": {"type": "number", "minimum": 0},
-        "p50_wait_ms": {"type": "number", "minimum": 0},
-        "p99_wait_ms": {"type": "number", "minimum": 0},
-        "jain": {"type": "number", "minimum": 0, "maximum": 1},
-    },
-}
+def _cell_schema(required: list[str], properties: dict) -> dict:
+    """One family's cell schema: the identity triple, then its own fields
+    (a family may narrow an identity property in place)."""
+    return {
+        "type": "object",
+        "required": [*_IDENTITY_PROPERTIES, *required],
+        "additionalProperties": False,
+        "properties": {**_IDENTITY_PROPERTIES, **properties},
+    }
 
-#: Fault-robustness cells (``repro bench faults``, schema v5): one cell
-#: per named fault profile applied to the tracked machine.  The
-#: ``compiler`` field carries ``faults-<profile>`` (the variant axis of
-#: the cell identity); ``repro bench compare`` guards
-#: ``makespan_degradation_pct`` — how much slower the schedule got on
-#: the degraded hardware vs the pristine compile of the same workload.
-_FAULTS_CELL_SCHEMA = {
-    "type": "object",
-    "required": [
-        "workload",
-        "machine",
-        "compiler",
-        "mode",
-        "profile",
-        "num_faults",
-        "pristine_makespan_us",
-        "makespan_us",
-        "makespan_degradation_pct",
-        "log10_fidelity_delta",
-        "recovery_overhead_pct",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "workload": {"type": "string", "minLength": 1},
-        "machine": {"type": "string", "minLength": 1},
-        "compiler": {"type": "string", "minLength": 1},
-        "mode": {"enum": ["faults"]},
-        "profile": {"type": "string", "minLength": 1},
-        "num_faults": {"type": "integer", "minimum": 1},
-        "pristine_makespan_us": {"type": "number", "minimum": 0},
-        "makespan_us": {"type": "number", "minimum": 0},
-        "makespan_degradation_pct": {"type": "number"},
-        "log10_fidelity_delta": {"type": "number"},
-        "recovery_overhead_pct": {"type": "number"},
-    },
-}
+
+@dataclass(frozen=True)
+class CellFamily:
+    """One kind of BENCH cell, declared once for the schema, merge and compare.
+
+    A cell's identity is ``(workload, machine, compiler, mode)`` plus,
+    when :attr:`identity` is set, that template filled from the cell: a
+    load or queueing cell is only comparable with one run at the same
+    size, so its size is part of what it is.
+    """
+
+    #: Heading of the family's ``repro bench compare`` table.
+    title: str
+    #: The ``mode`` values of the family's cells (:data:`DEFAULT_MODE`
+    #: stands for a cell without one).
+    modes: tuple[str, ...]
+    #: Metrics compared per matched cell, in table order.
+    metrics: tuple[str, ...]
+    #: The metric the ``--fail-over`` guard judges.
+    guard: str
+    #: JSON Schema of one cell.
+    schema: dict
+    #: Extra identity: a :meth:`str.format_map` template over the cell.
+    identity: str = ""
+    #: Metrics that are percentages already: their delta is reported in
+    #: points, since a ratio against a 0.0 baseline is undefined.
+    points: tuple[str, ...] = ()
+    #: Guard-metric units per second, for the noise floor; ``None`` for a
+    #: deterministic family, which the floor never skips.
+    floor_unit: float | None = 1.0
+    #: Template of the bracketed label after a non-default mode, over
+    #: the key's ``mode`` and ``compiler``.
+    tag: str = "{mode}"
+
+
+#: Every BENCH cell family, in the order ``repro bench compare`` prints
+#: them (:data:`SCHEMA_VERSION` records when each arrived).
+CELL_FAMILIES: tuple[CellFamily, ...] = (
+    # Compile+execute cells and the replay-once/price-many cell; judged
+    # on ``total_s`` in seconds.
+    CellFamily(
+        title="Microbenchmark comparison",
+        modes=(DEFAULT_MODE, "reprice"),
+        metrics=("compile_s", "execute_s", "total_s"),
+        guard="total_s",
+        schema=_cell_schema(
+            [
+                "compile_s",
+                "execute_s",
+                "total_s",
+                "operations",
+                "shuttles",
+                "makespan_us",
+                "log10_fidelity",
+            ],
+            {
+                "workload": {"enum": list(MICRO_WORKLOADS)},
+                "compile_s": {"type": "number", "minimum": 0},
+                "execute_s": {"type": "number", "minimum": 0},
+                "total_s": {"type": "number", "minimum": 0},
+                "operations": {"type": "integer", "minimum": 0},
+                "shuttles": {"type": "integer", "minimum": 0},
+                "makespan_us": {"type": "number", "minimum": 0},
+                "log10_fidelity": {"type": "number", "maximum": 0},
+                # Replay-once/price-many cell: execute_s is the replay +
+                # N-fold pricing time; reexecute_s the N full
+                # re-executions it replaces.
+                "mode": {"enum": ["reprice"]},
+                "profiles": {"type": "integer", "minimum": 2},
+                "reexecute_s": {"type": "number", "minimum": 0},
+                "speedup": {"type": "number", "minimum": 0},
+            },
+        ),
+    ),
+    # Service load-generator cells (``repro bench serve``): the cold,
+    # warm and backpressure phases of one load run, judged on ``p99_ms``.
+    # Throughput is shown but not judged: its good direction is up, and
+    # p99 already covers it.  ``rejected`` (429s) is absent from pre-v6
+    # baselines and renders as n/a there.
+    CellFamily(
+        title="Service load comparison",
+        modes=("serve-cold", "serve-warm", "serve-backpressure"),
+        metrics=("p50_ms", "p99_ms", "throughput_rps", "rejected"),
+        guard="p99_ms",
+        identity="c{concurrency}r{requests}",
+        floor_unit=1000.0,
+        schema=_cell_schema(
+            [
+                "mode",
+                "concurrency",
+                "requests",
+                "errors",
+                "p50_ms",
+                "p99_ms",
+                "throughput_rps",
+            ],
+            {
+                "mode": {"enum": ["serve-cold", "serve-warm", "serve-backpressure"]},
+                "concurrency": {"type": "integer", "minimum": 1},
+                "requests": {"type": "integer", "minimum": 1},
+                "errors": {"type": "integer", "minimum": 0},
+                "rejected": {"type": "integer", "minimum": 0},
+                "p50_ms": {"type": "number", "minimum": 0},
+                "p99_ms": {"type": "number", "minimum": 0},
+                "throughput_rps": {"type": "number", "minimum": 0},
+            },
+        ),
+    ),
+    # Multi-tenant queueing cells (``repro bench fleet``): one per
+    # admission policy, which the ``compiler`` field carries.  Judged on
+    # tail queue wait.  The waits come from simulated makespans, not a
+    # clock, so the noise floor does not apply.
+    CellFamily(
+        title="Fleet comparison",
+        modes=("fleet",),
+        metrics=("throughput_jps", "p99_wait_ms"),
+        guard="p99_wait_ms",
+        identity="j{jobs}a{arrival}",
+        floor_unit=None,
+        schema=_cell_schema(
+            [
+                "mode",
+                "jobs",
+                "arrival",
+                "dropped",
+                "throughput_jps",
+                "utilization",
+                "p50_wait_ms",
+                "p99_wait_ms",
+                "jain",
+            ],
+            {
+                "mode": {"enum": ["fleet"]},
+                "jobs": {"type": "integer", "minimum": 1},
+                "arrival": {"enum": ["poisson", "bursty"]},
+                "dropped": {"type": "integer", "minimum": 0},
+                "throughput_jps": {"type": "number", "minimum": 0},
+                "utilization": {"type": "number", "minimum": 0},
+                "p50_wait_ms": {"type": "number", "minimum": 0},
+                "p99_wait_ms": {"type": "number", "minimum": 0},
+                "jain": {"type": "number", "minimum": 0, "maximum": 1},
+            },
+        ),
+    ),
+    # Fault-robustness cells (``repro bench faults``): one per fault
+    # profile, which the ``compiler`` field carries as
+    # ``faults-<profile>``.  Judged on how much slower the fault-avoiding
+    # schedule is than the pristine compile; deterministic simulator
+    # output.
+    CellFamily(
+        title="Faults comparison",
+        modes=("faults",),
+        metrics=("makespan_us", "makespan_degradation_pct", "recovery_overhead_pct"),
+        guard="makespan_degradation_pct",
+        points=("makespan_degradation_pct", "recovery_overhead_pct"),
+        floor_unit=None,
+        tag="{compiler}",
+        schema=_cell_schema(
+            [
+                "mode",
+                "profile",
+                "num_faults",
+                "pristine_makespan_us",
+                "makespan_us",
+                "makespan_degradation_pct",
+                "log10_fidelity_delta",
+                "recovery_overhead_pct",
+            ],
+            {
+                "mode": {"enum": ["faults"]},
+                "profile": {"type": "string", "minLength": 1},
+                "num_faults": {"type": "integer", "minimum": 1},
+                "pristine_makespan_us": {"type": "number", "minimum": 0},
+                "makespan_us": {"type": "number", "minimum": 0},
+                "makespan_degradation_pct": {"type": "number"},
+                "log10_fidelity_delta": {"type": "number"},
+                "recovery_overhead_pct": {"type": "number"},
+            },
+        ),
+    ),
+)
+
+_FAMILY_BY_MODE = {mode: family for family in CELL_FAMILIES for mode in family.modes}
+
+
+def cell_family(mode: str) -> CellFamily:
+    """The family of cells whose ``mode`` is *mode*."""
+    return _FAMILY_BY_MODE[mode]
+
+
+def cell_key(cell: dict) -> tuple:
+    """A cell's identity: ``(workload, machine, compiler, mode)`` plus its
+    family's extra identity.  Compare matches cells by it and merge
+    replaces cells by it, so a fold never drops a cell compare tracks."""
+    mode = cell.get("mode", DEFAULT_MODE)
+    key = (cell["workload"], cell["machine"], cell["compiler"], mode)
+    identity = cell_family(mode).identity
+    return key + (identity.format_map(cell),) if identity else key
+
+
+def describe_key(key: tuple) -> str:
+    """``workload on machine [tag] @identity`` for one :func:`cell_key`."""
+    workload, machine, compiler, mode = key[:4]
+    text = f"{workload} on {machine}"
+    if mode != DEFAULT_MODE:
+        tag = cell_family(mode).tag.format(mode=mode, compiler=compiler)
+        text += f" [{tag}]"
+    if len(key) > 4:
+        text += f" @{key[4]}"
+    return text
+
 
 #: JSON Schema (draft 2020-12) of the ``BENCH_*.json`` payload.
 BENCH_SCHEMA = {
@@ -291,14 +385,7 @@ BENCH_SCHEMA = {
         "cells": {
             "type": "array",
             "minItems": 1,
-            "items": {
-                "anyOf": [
-                    _CELL_SCHEMA,
-                    _SERVE_CELL_SCHEMA,
-                    _FLEET_CELL_SCHEMA,
-                    _FAULTS_CELL_SCHEMA,
-                ]
-            },
+            "items": {"anyOf": [family.schema for family in CELL_FAMILIES]},
         },
     },
 }
@@ -307,9 +394,6 @@ BENCH_SCHEMA = {
 #: The payload does not conform to :data:`BENCH_SCHEMA` (the shared
 #: :class:`repro.schema.SchemaError`, kept under its historical name).
 BenchSchemaError = SchemaError
-
-#: Back-compat alias of :func:`repro.schema.validate_node`.
-_validate_node = validate_node
 
 
 def validate_payload(payload: dict) -> None:
@@ -350,12 +434,8 @@ def micro_cells(cell_filter: str | None = None) -> list[dict]:
     seen: set[tuple] = set()
     deduped: list[dict] = []
     for cell in cells:
-        key = (
-            cell["workload"],
-            _resolved_machine_key(cell["workload"], cell["machine"]),
-            cell["compiler"],
-            cell.get("mode", "compile-execute"),
-        )
+        machine = _resolved_machine_key(cell["workload"], cell["machine"])
+        key = cell_key({**cell, "machine": machine})
         if key in seen:
             continue
         seen.add(key)
@@ -548,16 +628,22 @@ def run_micro(
     if profile_sink is not None:
         for cell in cells_:
             profile_sink(cell, _profile_cell(cell))
+    return build_payload("micro", rows, repeats=repeats)
+
+
+def build_payload(grid: str, cells: list[dict], *, repeats: int = 1) -> dict:
+    """A validated BENCH payload of *cells*, stamped with the schema
+    version, the UTC time and this interpreter's environment."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "grid": "micro",
+        "grid": grid,
         "repeats": repeats,
         "environment": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
         },
-        "cells": rows,
+        "cells": cells,
     }
     validate_payload(payload)
     return payload
@@ -580,26 +666,18 @@ def write_payload(payload: dict, path: Path | str) -> Path:
 def merge_payloads(base: dict, new: dict) -> dict:
     """Merge *new* cells over *base* cells into one tracked payload.
 
-    Cells match on (workload, machine, compiler, mode); matching cells
-    are replaced by the new measurement, others are kept, new ones
-    appended — so ``repro bench serve`` can fold its serve cells into
-    the day's ``BENCH_<date>.json`` without clobbering the micro grid.
-    The merged grid is the shared grid name, or ``"mixed"``.
+    Cells match on :func:`cell_key`, the identity compare judges by;
+    matching cells are replaced by the new measurement, others are kept,
+    new ones appended — so ``repro bench serve`` can fold its serve cells
+    into the day's ``BENCH_<date>.json`` without clobbering the micro
+    grid, and a ``--quick`` cell never replaces a full-size one.  The
+    merged grid is the shared grid name, or ``"mixed"``.
     """
     validate_payload(base)
     validate_payload(new)
-
-    def key(cell: dict) -> tuple:
-        return (
-            cell["workload"],
-            cell["machine"],
-            cell["compiler"],
-            cell.get("mode", "compile-execute"),
-        )
-
-    replacements = {key(cell): cell for cell in new["cells"]}
-    cells = [replacements.pop(key(cell), cell) for cell in base["cells"]]
-    cells.extend(cell for cell in new["cells"] if key(cell) in replacements)
+    replacements = {cell_key(cell): cell for cell in new["cells"]}
+    cells = [replacements.pop(cell_key(cell), cell) for cell in base["cells"]]
+    cells.extend(cell for cell in new["cells"] if cell_key(cell) in replacements)
     merged = {
         **new,
         "schema_version": SCHEMA_VERSION,

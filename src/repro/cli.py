@@ -43,6 +43,7 @@ import os
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 from .analysis import format_fidelity, render_table
 from .bench import (
@@ -359,11 +360,27 @@ def _cmd_fleet_pack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_fleet(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .bench import fleet as bench_fleet
+def _fold_bench_payload(payload: dict, output: str | None) -> Path:
+    """Write *payload* to *output* (default: the day's
+    ``BENCH_<date>.json``), folded into the payload already there so every
+    bench suite shares one file.  Raises :class:`ValueError` when the
+    existing file cannot be merged."""
     from .bench import micro
+
+    path = Path(output or micro.default_output_path())
+    if path.exists():
+        try:
+            payload = micro.merge_payloads(
+                json.loads(path.read_text(encoding="utf-8")), payload
+            )
+        except ValueError as error:
+            raise ValueError(f"cannot merge into {path}: {error}") from None
+    micro.write_payload(payload, path)
+    return path
+
+
+def _cmd_bench_fleet(args: argparse.Namespace) -> int:
+    from .bench import fleet as bench_fleet
 
     try:
         result = bench_fleet.run_fleet_bench(
@@ -376,22 +393,10 @@ def _cmd_bench_fleet(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             quick=args.quick,
         )
+        path = _fold_bench_payload(result["payload"], args.output)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    payload = result["payload"]
-    path = Path(args.output or micro.default_output_path())
-    # Fold the fleet cells into the day's tracked payload when one exists,
-    # so micro, serve and fleet cells share a single BENCH_<date>.json.
-    if path.exists():
-        try:
-            payload = micro.merge_payloads(
-                json.loads(path.read_text(encoding="utf-8")), payload
-            )
-        except (ValueError, json.JSONDecodeError) as error:
-            print(f"error: cannot merge into {path}: {error}", file=sys.stderr)
-            return 2
-    micro.write_payload(payload, path)
     print(bench_fleet.render(result))
     print(
         f"[fleet: {len(result['payload']['cells'])} cells, schema-valid, "
@@ -401,10 +406,7 @@ def _cmd_bench_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_faults(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .bench import faults as bench_faults
-    from .bench import micro
 
     try:
         result = bench_faults.run_faults_bench(
@@ -414,22 +416,10 @@ def _cmd_bench_faults(args: argparse.Namespace) -> int:
             profiles=tuple(args.profile) if args.profile else None,
             quick=args.quick,
         )
+        path = _fold_bench_payload(result["payload"], args.output)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    payload = result["payload"]
-    path = Path(args.output or micro.default_output_path())
-    # Fold the faults cells into the day's tracked payload when one
-    # exists, so all bench suites share a single BENCH_<date>.json.
-    if path.exists():
-        try:
-            payload = micro.merge_payloads(
-                json.loads(path.read_text(encoding="utf-8")), payload
-            )
-        except (ValueError, json.JSONDecodeError) as error:
-            print(f"error: cannot merge into {path}: {error}", file=sys.stderr)
-            return 2
-    micro.write_payload(payload, path)
     print(bench_faults.render(result))
     print(
         f"[faults: {len(result['payload']['cells'])} cells, schema-valid, "
@@ -536,9 +526,6 @@ def _cmd_faults_inject(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .bench import micro
     from .serve import loadgen
 
     try:
@@ -548,22 +535,10 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
             jobs=args.jobs if args.jobs is not None else (2 if args.quick else None),
             quick=args.quick,
         )
+        path = _fold_bench_payload(result["payload"], args.output)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    payload = result["payload"]
-    path = Path(args.output or micro.default_output_path())
-    # Fold the serve cells into the day's tracked payload when one exists,
-    # so micro and serve cells share a single BENCH_<date>.json.
-    if path.exists():
-        try:
-            payload = micro.merge_payloads(
-                json.loads(path.read_text(encoding="utf-8")), payload
-            )
-        except (ValueError, json.JSONDecodeError) as error:
-            print(f"error: cannot merge into {path}: {error}", file=sys.stderr)
-            return 2
-    micro.write_payload(payload, path)
     print(loadgen.render(result))
     print(
         f"[serve: {len(result['payload']['cells'])} cells, schema-valid, "

@@ -35,12 +35,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-import platform
-import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .http import start_http_server
@@ -242,7 +239,7 @@ def run_serve_bench(
     """Run the load generator; returns a validated BENCH payload whose
     cells are the cold, warm, and backpressure phases (plus the final
     ``/stats`` under a non-schema sibling key for the human summary)."""
-    from ..bench.micro import SCHEMA_VERSION, validate_payload
+    from ..bench.micro import build_payload
 
     if quick:
         requests = min(requests, 20)
@@ -267,22 +264,14 @@ def run_serve_bench(
             "backpressure phase saw zero 429 rejections — the per-client "
             "limiter did not engage under concurrent load"
         )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "grid": "serve",
-        "repeats": 1,
-        "environment": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-        },
-        "cells": [
+    payload = build_payload(
+        "serve",
+        [
             cold.cell(concurrency),
             warm.cell(concurrency),
             backpressure.cell(max(concurrency, 2)),
         ],
-    }
-    validate_payload(payload)
+    )
     # Diagnostics ride alongside (not part of the schema-validated payload).
     payload_stats = {
         "stats": stats,

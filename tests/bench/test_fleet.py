@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench import merge_payloads, validate_payload
 from repro.bench.compare import (
+    DEFAULT_MIN_SECONDS,
     compare_payloads,
     guard_metric_for,
     render_comparison,
@@ -90,3 +91,36 @@ class TestCompareFleetCells:
             cell["jobs"] = cell["jobs"] * 2
         rows = compare_payloads(old, new)
         assert all(row["status"] in ("new", "gone") for row in rows)
+
+    def test_sub_floor_regression_is_judged(self):
+        # Waits come from simulated makespans, so a 15 ms -> 30 ms tail is
+        # a real change, not timer noise: the 50 ms floor must not hide it.
+        old = {
+            "schema_version": 7,
+            "created_utc": "2026-01-01T00:00:00Z",
+            "grid": "fleet",
+            "repeats": 1,
+            "environment": {"python": "3.11", "platform": "test"},
+            "cells": [
+                {
+                    "workload": MIX_LABEL,
+                    "machine": "eml:16:2",
+                    "compiler": "fleet-first-fit",
+                    "mode": "fleet",
+                    "jobs": QUICK_JOBS,
+                    "arrival": "poisson",
+                    "dropped": 0,
+                    "throughput_jps": 50.0,
+                    "utilization": 0.8,
+                    "p50_wait_ms": 2.0,
+                    "p99_wait_ms": 15.0,
+                    "jain": 0.99,
+                }
+            ],
+        }
+        new = {**old, "cells": [{**old["cells"][0], "p99_wait_ms": 30.0}]}
+        worst, key = worst_regression(
+            compare_payloads(old, new), min_seconds=DEFAULT_MIN_SECONDS
+        )
+        assert worst == pytest.approx(100.0)
+        assert key[2] == "fleet-first-fit"

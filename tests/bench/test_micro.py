@@ -9,6 +9,7 @@ import pytest
 from repro.bench import micro
 from repro.cli import main
 from repro.hardware import parse_machine_spec
+from repro.schema import validate_node
 
 
 class TestMicroGrid:
@@ -250,7 +251,7 @@ class TestPayloadSchema:
         bad_payloads.append(stale)
         for bad in bad_payloads:
             with pytest.raises(micro.BenchSchemaError):
-                micro._validate_node(bad, micro.BENCH_SCHEMA, "$")
+                validate_node(bad, micro.BENCH_SCHEMA, "$")
 
     def test_write_payload_round_trips(self, payload, tmp_path):
         path = micro.write_payload(payload, tmp_path / "BENCH_test.json")
@@ -373,6 +374,15 @@ class TestSchemaV3:
         for version in (1, 2):
             payload["schema_version"] = version
             micro.validate_payload(payload)
+
+
+class TestCellFamilies:
+    def test_each_family_schema_admits_exactly_its_modes(self):
+        for family in micro.CELL_FAMILIES:
+            enum = family.schema["properties"]["mode"]["enum"]
+            optional = "mode" not in family.schema["required"]
+            assert optional == (micro.DEFAULT_MODE in family.modes)
+            assert enum == [mode for mode in family.modes if mode != micro.DEFAULT_MODE]
 
 
 class TestMergePayloads:
