@@ -112,7 +112,7 @@ from .sim import (
 )
 from .workloads import available_benchmarks, get_benchmark
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "DEFAULT_PARAMS",

@@ -267,6 +267,7 @@ CELL_FAMILIES: tuple[CellFamily, ...] = (
         guard="p99_wait_ms",
         identity="j{jobs}a{arrival}",
         floor_unit=None,
+        tag="{compiler}",
         schema=_cell_schema(
             [
                 "mode",

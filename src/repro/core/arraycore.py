@@ -1,10 +1,11 @@
 """Array-core scheduler: the MUSS-TI event loop over flat int arrays.
 
-This is the one MUSS-TI scheduler behind
-:class:`~repro.pipeline.passes.SchedulingPass`: the Fig 3 loop of
-executable-first gate selection, §3.2 multi-level routing with LRU
-eviction, and the §3.3 weight-table SWAP insertion, all over flat,
-int-indexed state:
+This is the one MUSS-TI scheduler, behind
+:class:`~repro.pipeline.passes.SchedulingPass` and both of SABRE's
+warm-up schedules (:func:`~repro.core.mapping.sabre_placement`): the
+Fig 3 loop of executable-first gate selection, §3.2 multi-level routing
+with LRU eviction, and the §3.3 weight-table SWAP insertion, all over
+flat, int-indexed state:
 
 * qubits and zones are plain ints indexing python lists (``loc``,
   ``last_used``, ``zone_usage``, per-zone chain lists) over the
@@ -17,7 +18,8 @@ int-indexed state:
 * ops are emitted as packed int records (:mod:`repro.sim.oparray`), so a
   compile never constructs an op dataclass.
 
-:func:`schedule` always returns a schedule or raises: a gate beyond the
+:func:`schedule` always returns a :class:`ScheduleResult` (the packed
+records, the final chains and four stats) or raises: a gate beyond the
 native 1q/2q set raises :class:`~repro.circuits.GateError`, and a
 malformed initial placement raises :class:`RoutingError` before the loop
 starts.  The emitted schedule is **byte-identical** to the frozen seed
@@ -38,6 +40,7 @@ Two deliberate representation choices, measured on the QFT × EML grid:
 from __future__ import annotations
 
 from bisect import insort
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from ..circuits import validate_native
@@ -53,18 +56,45 @@ from ..sim.oparray import (
     PackedOps,
 )
 from .config import MussTiConfig
-from .state import MachineState, RoutingError
+from .state import RoutingError
 
 
-def schedule(circuit, machine, placement, config: MussTiConfig) -> MachineState:
+@dataclass(frozen=True)
+class ScheduleResult:
+    """One array-core run: the op records, the final chains, four stats.
+
+    ``chains`` holds every zone's chain at the end of scheduling,
+    indexed by zone id.
+    """
+
+    packed: PackedOps
+    chains: tuple[tuple[int, ...], ...]
+    shuttles: int
+    chain_swaps: int
+    evictions: int
+    inserted_swaps: int
+
+    def final_placement(self) -> dict[int, tuple[int, ...]]:
+        """The non-empty final chains by ascending zone id."""
+        return {zone_id: chain for zone_id, chain in enumerate(self.chains) if chain}
+
+    def metadata(self) -> dict[str, float]:
+        """The four stats as a program's ``metadata``."""
+        return {
+            "shuttles": float(self.shuttles),
+            "chain_swaps": float(self.chain_swaps),
+            "evictions": float(self.evictions),
+            "inserted_swaps": float(self.inserted_swaps),
+        }
+
+
+def schedule(circuit, machine, placement, config: MussTiConfig) -> ScheduleResult:
     """Schedule ``circuit`` onto ``machine`` from ``placement``.
 
-    Returns a fully populated :class:`MachineState` (with ``packed_ops``
-    attached and ``operations`` empty).  Raises
-    :class:`~repro.circuits.GateError` for a gate beyond the native
-    1q/2q set, :class:`RoutingError` for a malformed placement or when no
-    legal routing decision exists, and the machine's own errors for
-    unreachable zones.
+    Raises :class:`~repro.circuits.GateError` for a gate beyond the
+    native 1q/2q set, :class:`RoutingError` for a malformed placement or
+    when no legal routing decision exists, and the machine's own errors
+    for unreachable zones.
     """
     dag = dag_arrays(circuit)
     if not dag.native_arity:
@@ -74,23 +104,14 @@ def schedule(circuit, machine, placement, config: MussTiConfig) -> MachineState:
 
     engine = _Engine(machine, maps, dag, placement, loc, config)
     engine.run()
-
-    state = MachineState(machine, placement)
-    state.adopt_array_core(
-        engine.chains,
-        engine.loc,
-        engine.last_used,
-        engine.zone_usage,
-        engine.clock,
-        {
-            "shuttles": engine.shuttles,
-            "chain_swaps": engine.chain_swaps,
-            "evictions": engine.evictions,
-            "inserted_swaps": engine.inserted_swaps,
-        },
-        PackedOps(engine.records, dag.qubit_a, dag.qubit_b),
+    return ScheduleResult(
+        packed=PackedOps(engine.records, dag.qubit_a, dag.qubit_b),
+        chains=tuple(map(tuple, engine.chains)),
+        shuttles=engine.shuttles,
+        chain_swaps=engine.chain_swaps,
+        evictions=engine.evictions,
+        inserted_swaps=engine.inserted_swaps,
     )
-    return state
 
 
 def _locations(placement, num_qubits: int, zone_capacity) -> list[int]:

@@ -1,11 +1,11 @@
-"""Compile-time machine state and op emission.
+"""The grid baselines' compile-time machine state and op emission.
 
 :class:`MachineState` is the mutable scheduling state the grid baselines
-thread through their loops, and the record of the MUSS-TI array core's
-final state (:meth:`MachineState.adopt_array_core`): it mirrors what the
+(:mod:`repro.baselines`) thread through their loops: it mirrors what the
 executor will later replay (per-zone ion chains, logical-qubit
-locations) plus compile-time-only bookkeeping (LRU timestamps, per-zone
-usage pressure).
+locations).  MUSS-TI does not use it: the array core
+(:mod:`repro.core.arraycore`) keeps its own flat state and hands back a
+:class:`~repro.core.arraycore.ScheduleResult`.
 
 The state works over any :class:`~repro.hardware.Machine` — typically one
 resolved from a registry spec string (``"eml:16:2"``, ``"grid:2x2:12"``,
@@ -36,13 +36,7 @@ class RoutingError(RuntimeError):
 
 
 class MachineState:
-    """Mutable scheduling state over a machine."""
-
-    #: The :class:`~repro.sim.oparray.PackedOps` attached by the array-core
-    #: scheduler (:mod:`repro.core.arraycore`); ``records`` stays empty
-    #: then and the pipeline builds its
-    #: :class:`~repro.sim.program.Program` from this.
-    packed_ops = None
+    """Mutable scheduling state of a grid baseline over a machine."""
 
     def __init__(
         self, machine: Machine, initial_placement: dict[int, tuple[int, ...]]
@@ -63,19 +57,8 @@ class MachineState:
                 if qubit in self.location:
                     raise RoutingError(f"qubit {qubit} placed twice")
                 self.location[qubit] = zone_id
-        self.initial_placement = {
-            zone_id: tuple(chain)
-            for zone_id, chain in initial_placement.items()
-            if chain
-        }
         #: Packed op records emitted so far (see :mod:`repro.sim.oparray`).
         self.records: list[tuple[int, ...]] = []
-        self._clock = 0
-        self.last_used: dict[int, int] = {q: 0 for q in self.location}
-        #: compile-time pressure proxy: ops emitted touching each zone.
-        self.zone_usage: dict[int, float] = {
-            zone.zone_id: 0.0 for zone in machine.zones
-        }
         self.stats = {
             "shuttles": 0,
             "chain_swaps": 0,
@@ -104,16 +87,6 @@ class MachineState:
                 f"no shuttle path from zone {source} to zone {destination}"
             )
         return distance
-
-    # ------------------------------------------------------------------
-    # LRU clock
-    # ------------------------------------------------------------------
-
-    def touch(self, *qubits: int) -> None:
-        """Record gate usage for the LRU replacement policy (§3.2)."""
-        self._clock += 1
-        for qubit in qubits:
-            self.last_used[qubit] = self._clock
 
     def fifo_victim(self, zone_id: int, protected: frozenset[int]) -> int:
         """Chain-head eviction (the grid baselines' FIFO policy)."""
@@ -175,21 +148,16 @@ class MachineState:
             path = self.machine.shuttle_path(source_zone, destination_zone)
         self._bubble_to_edge(qubit)
         records = self.records
-        zone_usage = self.zone_usage
         records.append((K_SPLIT, qubit, source_zone))
         chains[source_zone].remove(qubit)
         here = path[0]
         for there in path[1:]:
             records.append((K_MOVE, qubit, here, there))
-            zone_usage[there] += 1.0
             here = there
         self.stats["shuttles"] += len(path) - 1
-        zone_usage[source_zone] += 1.0
         records.append((K_MERGE, qubit, destination_zone))
         destination_chain.append(qubit)
         self.location[qubit] = destination_zone
-        self._clock += 1
-        self.last_used.setdefault(qubit, self._clock)
 
     # ------------------------------------------------------------------
     # Gate emission
@@ -208,49 +176,11 @@ class MachineState:
                 f"{self.location[gate.qubits[0]]} vs {self.location[gate.qubits[1]]}"
             )
         self.records.append((K_GATE, circuit_index, zone_id))
-        self.zone_usage[zone_id] += 0.25
-        self.touch(*gate.qubits)
 
     def final_placement(self) -> dict[int, tuple[int, ...]]:
-        """Chains at the end of scheduling (SABRE's pass output)."""
+        """Chains at the end of scheduling."""
         return {
             zone_id: tuple(chain)
             for zone_id, chain in self.chains.items()
             if chain
         }
-
-    # ------------------------------------------------------------------
-    # Array-core hand-off
-    # ------------------------------------------------------------------
-
-    def adopt_array_core(
-        self,
-        chains: list[list[int]],
-        location: list[int],
-        last_used: list[int],
-        zone_usage: list[float],
-        clock: int,
-        stats: dict[str, int],
-        packed,
-    ) -> None:
-        """Install the array-core engine's final state.
-
-        The engine works over flat int-indexed arrays; this writes its
-        outcome back into the dict-shaped views the rest of the pipeline
-        reads (``final_placement``, SABRE's two-fold search, pass stats).
-        Every key already exists from ``__init__`` and only values
-        change, so the dict key orders stay those of a fresh state.
-        ``records`` stays empty — the schedule lives in ``packed`` (a
-        :class:`~repro.sim.oparray.PackedOps`).
-        """
-        for zone_id in self.chains:
-            self.chains[zone_id] = list(chains[zone_id])
-        for qubit in self.location:
-            self.location[qubit] = location[qubit]
-        for qubit in self.last_used:
-            self.last_used[qubit] = last_used[qubit]
-        for zone_id in self.zone_usage:
-            self.zone_usage[zone_id] = zone_usage[zone_id]
-        self._clock = clock
-        self.stats = dict(stats)
-        self.packed_ops = packed

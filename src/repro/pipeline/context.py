@@ -2,8 +2,8 @@
 
 A :class:`CompileContext` is the mutable scratch space every
 :class:`~repro.pipeline.passes.Pass` reads and writes: the inputs (circuit,
-machine, config), the artefacts produced so far (placement, scheduled
-machine state) and per-pass bookkeeping (wall time, counters, free-form
+machine, config), the artefacts produced so far (placement, the array
+core's schedule) and per-pass bookkeeping (wall time, counters, free-form
 diagnostic notes).  A :class:`CompileResult` is the immutable outcome: the
 executable :class:`~repro.sim.Program` plus the pipeline diagnostics that do
 not belong in the program itself.
@@ -19,7 +19,7 @@ from ..hardware import Machine
 from ..sim import Program
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.state import MachineState
+    from ..core.arraycore import ScheduleResult
     from ..physics import PhysicalParams
     from ..sim import ExecutionReport
 
@@ -29,15 +29,16 @@ class CompileContext:
     """Mutable state handed from pass to pass.
 
     ``placement`` starts as the caller-provided initial placement (or
-    ``None``); a placement pass fills it in when absent.  ``state`` is the
-    scheduling pass's output.
+    ``None``); a placement pass fills it in when absent.  ``schedule`` is
+    the scheduling pass's output, which the pipeline builds its
+    :class:`~repro.sim.Program` from.
     """
 
     circuit: QuantumCircuit
     machine: Machine
     config: Any = None
     placement: dict[int, tuple[int, ...]] | None = None
-    state: "MachineState | None" = None
+    schedule: "ScheduleResult | None" = None
     #: Per-pass counters and timings, keyed by pass name.
     pass_stats: dict[str, dict[str, float]] = field(default_factory=dict)
     #: Free-form notes a pass wants surfaced on the result.

@@ -45,8 +45,9 @@ class Pass(Protocol):
     """One stage of a compiler pipeline.
 
     A pass mutates the :class:`CompileContext` in place — filling in the
-    placement, producing the scheduled machine state, recording stats —
-    and returns nothing.
+    placement, producing the array core's
+    :class:`~repro.core.arraycore.ScheduleResult`, recording stats — and
+    returns nothing.
     """
 
     name: str
@@ -151,17 +152,17 @@ class SchedulingPass:
                 "SchedulingPass needs a placement; run a placement pass first "
                 "or pass initial_placement to compile()"
             )
-        state = schedule(
+        result = schedule(
             context.circuit,
             context.machine,
             context.placement,
             _context_config(self.config, context),
         )
-        context.state = state
+        context.schedule = result
         context.record(
             self.name,
             scheduled_gates=float(len(context.circuit)),
-            inserted_swaps=float(state.stats["inserted_swaps"]),
+            inserted_swaps=float(result.inserted_swaps),
         )
 
 
@@ -207,8 +208,8 @@ class PassPipeline:
             context.record(
                 stage.name, seconds=time.perf_counter() - stage_started
             )
-        state = context.state
-        if state is None or state.packed_ops is None or context.placement is None:
+        result = context.schedule
+        if result is None or context.placement is None:
             raise PipelineError(
                 f"pipeline {self.name!r} produced no schedule "
                 f"(passes: {self.describe() or 'none'}); add a SchedulingPass"
@@ -217,11 +218,11 @@ class PassPipeline:
             machine=machine,
             circuit=circuit,
             initial_placement=dict(context.placement),
-            operations=state.packed_ops,
+            operations=result.packed,
             compiler_name=self.name,
             compile_time_s=time.perf_counter() - started,
-            metadata={key: float(value) for key, value in state.stats.items()},
-            final_placement=state.final_placement(),
+            metadata=result.metadata(),
+            final_placement=result.final_placement(),
         )
         return CompileResult(
             program=program,

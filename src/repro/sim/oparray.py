@@ -1,8 +1,9 @@
 """Packed op streams: the one schedule representation a program holds.
 
-The array-core scheduler (:mod:`repro.core.arraycore`) and the grid
-baselines (through :class:`~repro.core.state.MachineState`) emit their
-schedules as flat integer records instead of :mod:`repro.sim.ops`
+The array-core scheduler (:mod:`repro.core.arraycore`, which hands its
+records back in a :class:`~repro.core.arraycore.ScheduleResult`) and the
+grid baselines (through :class:`~repro.core.state.MachineState`) emit
+their schedules as flat integer records instead of :mod:`repro.sim.ops`
 dataclass instances — creating ~50k frozen dataclasses per compile costs
 more than the scheduling decisions themselves.  A :class:`PackedOps`
 holds that stream: one small tuple of ints per op, tagged by a kind code,

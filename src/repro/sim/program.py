@@ -30,8 +30,7 @@ class Program:
         compiler_name: provenance label for reports.
         compile_time_s: wall-clock seconds spent compiling.
         metadata: free-form compiler statistics (e.g. inserted SWAP count).
-        final_placement: chains after the last op (filled by compilers; used
-            by SABRE's two-fold search).
+        final_placement: chains after the last op (filled by compilers).
     """
 
     def __init__(

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.circuits import QuantumCircuit
-from repro.hardware import EMLQCCDMachine, ModuleLayout, QCCDGridMachine
+from repro.hardware import EMLQCCDMachine, ModuleLayout, QCCDGridMachine, resolve_machine
+from repro.workloads import get_benchmark
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -15,11 +17,40 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         default=False,
         help="rewrite golden snapshot files instead of asserting against them",
     )
+    parser.addoption(
+        "--live-reference",
+        action="store_true",
+        default=False,
+        help="run the live_reference tests, which re-derive stored oracle data",
+    )
+
+
+def pytest_collection_modifyitems(
+    config: pytest.Config, items: list[pytest.Item]
+) -> None:
+    if config.getoption("--live-reference"):
+        return
+    skip = pytest.mark.skip(reason="re-derives stored oracle data; needs --live-reference")
+    for item in items:
+        if "live_reference" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture
 def update_goldens(request: pytest.FixtureRequest) -> bool:
     return bool(request.config.getoption("--update-goldens"))
+
+
+@pytest.fixture(scope="session")
+def scale_cell_program():
+    """MUSS-TI's QFT_n512 x ``eml?capacity=4&modules=256`` program.
+
+    Compiled once per session: the differential and invariant tests both
+    check it, and it takes about 12 s.
+    """
+    circuit = get_benchmark("QFT_n512")
+    machine = resolve_machine("eml?capacity=4&modules=256", circuit.num_qubits)
+    return repro.compile(circuit, machine, compiler="muss-ti", verify=False).program
 
 
 @pytest.fixture

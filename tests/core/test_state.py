@@ -103,11 +103,6 @@ class TestLru:
 
 
 class TestGateEmission:
-    def test_local_gate_touches_lru(self, tiny_grid, bell_pair):
-        state = MachineState(tiny_grid, {0: (0, 1)})
-        state.emit_local_gate(bell_pair[1], 1)
-        assert state.last_used[0] == state.last_used[1] > 0
-
     def test_local_gate_requires_colocation(self, tiny_grid, bell_pair):
         state = MachineState(tiny_grid, {0: (0,), 1: (1,)})
         with pytest.raises(RoutingError, match="not co-located"):

@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 from pathlib import Path
 
+from faulted import with_fault_profile
 from program_bytes import program_bytes
 
 from repro.analysis.experiments import fig6, table2
 from repro.analysis.runs import benchmark_circuit, eml_for, small_grid
 from repro.core import RoutingError
-from repro.faults import build_fault_profile
-from repro.hardware import MachineError, default_machine_registry, resolve_machine
+from repro.hardware import MachineError, resolve_machine
 from repro.multiprog import BatchJob, pack_batch
 from repro.pipeline import resolve_compiler
 from repro.sim import execute
@@ -106,10 +105,7 @@ def _machine(label: str, circuit):
         return eml_for(circuit)
     if "|" in label:
         spec, profile = label.split("|")
-        pristine = resolve_machine(spec, circuit.num_qubits)
-        faults = build_fault_profile(profile, pristine)
-        architecture = replace(pristine.architecture(), faults=faults)
-        return default_machine_registry().from_architecture(architecture)
+        return with_fault_profile(resolve_machine(spec, circuit.num_qubits), profile)
     return resolve_machine(label, circuit.num_qubits)
 
 

@@ -306,16 +306,11 @@ class TestSchedulerInvariants:
 
 
 @pytest.mark.slow
-def test_array_core_scale_cell_keeps_invariants():
+def test_array_core_scale_cell_keeps_invariants(scale_cell_program):
     """Capacity / uniqueness / co-location hold at QFT_n512 × 256 modules.
 
     The micro grid's large cells go through the packed array-core
     scheduler; this replays the full ~900k-op schedule with the same
     invariant checks the property suite applies at random-circuit scale.
     """
-    from repro.workloads import get_benchmark
-
-    circuit = get_benchmark("QFT_n512")
-    machine = resolve_machine("eml?capacity=4&modules=256", circuit.num_qubits)
-    result = repro.compile(circuit, machine, compiler="muss-ti", verify=False)
-    assert_invariants_at_scale(result.program)
+    assert_invariants_at_scale(scale_cell_program)

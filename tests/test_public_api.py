@@ -35,7 +35,7 @@ class TestTopLevelExports:
         assert MussTiCompiler.name == "MUSS-TI"
 
     def test_version(self):
-        assert repro.__version__ == "1.12.0"
+        assert repro.__version__ == "1.13.0"
 
     def test_ledger_and_physics_registry_exports(self):
         from repro import (  # noqa: F401
