@@ -3,9 +3,9 @@
 Multi-level shuttle scheduling with executable-first gate selection, LRU
 conflict handling, weight-table SWAP insertion and SABRE two-fold initial
 mapping.  The scheduler itself is the array core
-(:mod:`repro.core.arraycore`), which both SABRE warm-ups and the final
-schedule call directly; :class:`MachineState` is the grid baselines'
-state and not on the MUSS-TI path.
+(:mod:`repro.core.arraycore`), which the scheduling pass calls for the
+final schedule and for both SABRE warm-ups; :class:`MachineState` is the
+grid baselines' state and not on the MUSS-TI path.
 """
 
 from .compiler import MussTiCompiler

@@ -1,9 +1,8 @@
 """Array-core scheduler: the MUSS-TI event loop over flat int arrays.
 
 This is the one MUSS-TI scheduler, behind
-:class:`~repro.pipeline.passes.SchedulingPass` and both of SABRE's
-warm-up schedules (:func:`~repro.core.mapping.sabre_placement`): the
-Fig 3 loop of executable-first gate selection, §3.2 multi-level routing
+:class:`~repro.pipeline.passes.SchedulingPass` (for the final schedule
+and for both of SABRE's warm-up compiles): the Fig 3 loop of executable-first gate selection, §3.2 multi-level routing
 with LRU eviction, and the §3.3 weight-table SWAP insertion, all over
 flat, int-indexed state:
 

@@ -4,8 +4,8 @@
 highest level down — optical first, then operation, then storage — module by
 module, respecting the per-module qubit limit.
 
-*SABRE mapping* is the two-fold search: schedule the circuit from the trivial
-mapping, take the final placement, schedule the *reversed* circuit from it,
+*SABRE mapping* is the two-fold search: compile the circuit from the trivial
+mapping, take the final placement, compile the *reversed* circuit from it,
 and use that pass's final placement as the real initial mapping.  It acts as
 a pre-loading mechanism: qubits that the circuit touches early finish the
 reverse pass sitting in high-level zones.
@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Union
 
 from ..circuits import QuantumCircuit
 from ..hardware import Machine
-from .arraycore import schedule
 from .config import MussTiConfig
 from .state import RoutingError
 
@@ -168,13 +167,22 @@ def sabre_placement(
 
     ``compiler`` may be a :class:`MussTiCompiler` or its bare
     :class:`MussTiConfig` (what the scheduling dynamics actually depend
-    on).  Both warm-up schedules run on the array core
-    (:func:`~repro.core.arraycore.schedule`) with the caller's
-    configuration, so the final placements reflect the real scheduling
-    dynamics.
+    on).  Both warm-up passes run with SABRE disabled (to terminate the
+    recursion) but otherwise the caller's configuration, so the final
+    placements reflect the real scheduling dynamics.  Each warm-up is a
+    public :meth:`MussTiCompiler.compile`, the call perfbench times as
+    the SABRE layer; two bare :func:`~repro.core.arraycore.schedule`
+    calls give the same placement, key order included.
     """
+    from dataclasses import replace
+
+    from .compiler import MussTiCompiler
+
     config = getattr(compiler, "config", compiler)
+    warmup = MussTiCompiler(replace(config, use_sabre_mapping=False))
     start = trivial_placement(circuit, machine)
-    forward = schedule(circuit, machine, start, config)
-    backward = schedule(circuit.reversed(), machine, forward.final_placement(), config)
-    return backward.final_placement()
+    forward = warmup.compile(circuit, machine, initial_placement=start)
+    backward = warmup.compile(
+        circuit.reversed(), machine, initial_placement=forward.final_placement
+    )
+    return dict(backward.final_placement)

@@ -17,23 +17,6 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         default=False,
         help="rewrite golden snapshot files instead of asserting against them",
     )
-    parser.addoption(
-        "--live-reference",
-        action="store_true",
-        default=False,
-        help="run the live_reference tests, which re-derive stored oracle data",
-    )
-
-
-def pytest_collection_modifyitems(
-    config: pytest.Config, items: list[pytest.Item]
-) -> None:
-    if config.getoption("--live-reference"):
-        return
-    skip = pytest.mark.skip(reason="re-derives stored oracle data; needs --live-reference")
-    for item in items:
-        if "live_reference" in item.keywords:
-            item.add_marker(skip)
 
 
 @pytest.fixture

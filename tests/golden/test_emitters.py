@@ -24,13 +24,13 @@ import hashlib
 import json
 from pathlib import Path
 
-from faulted import with_fault_profile
+from faulted import machine_for
 from program_bytes import program_bytes
 
 from repro.analysis.experiments import fig6, table2
-from repro.analysis.runs import benchmark_circuit, eml_for, small_grid
+from repro.analysis.runs import benchmark_circuit
 from repro.core import RoutingError
-from repro.hardware import MachineError, resolve_machine
+from repro.hardware import MachineError
 from repro.multiprog import BatchJob, pack_batch
 from repro.pipeline import resolve_compiler
 from repro.sim import execute
@@ -98,23 +98,12 @@ def corpus_cells() -> list[tuple[str, str, str]]:
     return list(dict.fromkeys(cells))
 
 
-def _machine(label: str, circuit):
-    if label.startswith("small:"):
-        return small_grid(label.removeprefix("small:"))
-    if label == "eml_for":
-        return eml_for(circuit)
-    if "|" in label:
-        spec, profile = label.split("|")
-        return with_fault_profile(resolve_machine(spec, circuit.num_qubits), profile)
-    return resolve_machine(label, circuit.num_qubits)
-
-
 def _compile(compiler: str, app: str, machine_label: str):
     if compiler == "pack_batch":
         jobs = [BatchJob(name, name) for name in app.split("+")]
         return pack_batch(jobs, machine_label).program
     circuit = benchmark_circuit(app)
-    machine = _machine(machine_label, circuit)
+    machine = machine_for(machine_label, circuit)
     return resolve_compiler(compiler).compile(circuit, machine)
 
 

@@ -18,10 +18,8 @@ import json
 from pathlib import Path
 
 import pytest
-from faulted import with_fault_profile
+from faulted import machine_for
 
-from repro.analysis.runs import small_grid
-from repro.hardware import resolve_machine
 from repro.pipeline import resolve_compiler
 from repro.workloads import get_benchmark
 
@@ -36,19 +34,10 @@ CELLS = (
 )
 
 
-def _machine(label: str, circuit):
-    if label.startswith("small:"):
-        return small_grid(label.removeprefix("small:"))
-    if "|" in label:
-        spec, profile = label.split("|")
-        return with_fault_profile(resolve_machine(spec, circuit.num_qubits), profile)
-    return resolve_machine(label, circuit.num_qubits)
-
-
 def key_orders(app: str, machine_label: str) -> dict[str, list]:
     circuit = get_benchmark(app)
     program = resolve_compiler("muss-ti").compile(
-        circuit, _machine(machine_label, circuit)
+        circuit, machine_for(machine_label, circuit)
     )
     return {
         "initial_placement": list(program.initial_placement),
