@@ -2,9 +2,10 @@
 
 This is the one MUSS-TI scheduler, behind
 :class:`~repro.pipeline.passes.SchedulingPass` (for the final schedule
-and for both of SABRE's warm-up compiles): the Fig 3 loop of executable-first gate selection, §3.2 multi-level routing
-with LRU eviction, and the §3.3 weight-table SWAP insertion, all over
-flat, int-indexed state:
+and for both of SABRE's warm-up compiles): the Fig 3 loop of
+executable-first gate selection, §3.2 multi-level routing with LRU
+eviction, and the §3.3 weight-table SWAP insertion, all over flat,
+int-indexed state:
 
 * qubits and zones are plain ints indexing python lists (``loc``,
   ``last_used``, ``zone_usage``, per-zone chain lists) over the
